@@ -443,17 +443,10 @@ def annihilator(A: GradedLocalAlgebra, a: RingElement):
 
 def _minimal_ideal_generators(A: GradedLocalAlgebra, I: linalg.Subspace):
     """Lift a k-basis of I/mI to minimal generators of the ideal I."""
-    mI = linalg.Subspace(A.dim, A.p)
-    for i in A.maximal_ideal_indices():
-        op = A._mult_ops[i]
-        for row in I.basis:
-            mI.add(op @ row % A.p)
-    gens = []
-    span = linalg.Subspace(A.dim, A.p, mI.basis)
-    for row in I.basis:
-        if span.add(row):
-            gens.append(RingElement(A, row.copy()))
-    return gens
+    mI = [A._mult_ops[i] @ I.basis.T for i in A.maximal_ideal_indices()]
+    keep = linalg.independent_columns(
+        np.concatenate(mI + [I.basis.T], axis=1), A.p, skip=len(mI) * I.dim)
+    return [RingElement(A, I.basis[t].copy()) for t in keep]
 
 
 def exact_zero_divisor_partner(A: GradedLocalAlgebra, a: RingElement):

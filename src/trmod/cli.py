@@ -2,7 +2,8 @@
 
 Exit codes: 0 success / certified / equivalent; 1 property refuted
 (not totally reflexive, not equivalent, no upper triangular form);
-2 inconclusive or budget exceeded; 3 input, parse, or validation error.
+2 inconclusive or budget exceeded; 3 input, parse, or validation error;
+4 internal error (an uncaught exception, reported with its traceback).
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ import json
 import re
 import sys
 import time
+import traceback
 import warnings
 from importlib import metadata
 
@@ -37,6 +39,7 @@ EXIT_OK = 0
 EXIT_REFUTED = 1
 EXIT_INCONCLUSIVE = 2
 EXIT_INVALID = 3
+EXIT_INTERNAL = 4
 
 _BUILTIN_RING = re.compile(r"^S:(\d+)$")
 
@@ -355,11 +358,15 @@ def main(argv=None) -> int:
     except BudgetExceededError as exc:
         payload, code = {"error": str(exc), "required": exc.required,
                          "budget": exc.budget}, EXIT_INCONCLUSIVE
-    except (ParseError, ValidationError, FileNotFoundError,
+    except (ParseError, ValidationError, OSError,
             json.JSONDecodeError) as exc:
         payload, code = {"error": str(exc)}, EXIT_INVALID
     except TrmodError as exc:
         payload, code = {"error": str(exc)}, EXIT_INVALID
+    except Exception as exc:  # a defect, not a verdict: keep it off exit 1
+        traceback.print_exc()
+        payload = {"error": f"internal error: {type(exc).__name__}: {exc}"}
+        code = EXIT_INTERNAL
     try:
         version = metadata.version("trmod")
     except metadata.PackageNotFoundError:

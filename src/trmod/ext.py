@@ -15,8 +15,10 @@ import numpy as np
 
 from . import linalg
 from .algebra import (
+    AlgebraSpec,
     GradedLocalAlgebra,
     RingElement,
+    build_algebra,
     exact_zero_divisor_partner,
     ideal_span,
     is_exact_zero_divisor,
@@ -122,17 +124,12 @@ def ext1(N: PresentationMatrix, M: PresentationMatrix) -> ExtSpace:
         H1 = np.zeros((amb, N.rows * q), dtype=np.int64)
     if H2.size == 0:
         H2 = np.zeros((d2.cols * q, amb), dtype=np.int64)
-    ker_dim = amb - linalg.rank(H2, p)
-    im_rank = linalg.rank(H1, p)
-    rank = ker_dim - im_rank
+    Z = linalg.nullspace(H2, p)
+    rank = Z.shape[1] - linalg.rank(H1, p)
     # pick representatives: kernel vectors extending the coboundary space
-    span = linalg.Subspace(amb, p, H1.T)
-    reps = []
-    for v in linalg.nullspace(H2, p).T:
-        before = span.dim
-        span.add(v)
-        if span.dim > before:
-            reps.append(v.copy())
+    keep = linalg.independent_columns(
+        np.concatenate([H1, Z], axis=1), p, skip=H1.shape[1])
+    reps = [Z[:, t].copy() for t in keep]
     assert len(reps) == rank
     return ExtSpace(N=N, M=M, rank=rank, representatives=reps,
                     cok=cok, _H1=H1, _H2=H2)
@@ -186,20 +183,16 @@ def _unit_class_span_dim(ext: ExtSpace) -> int:
 
 
 def _xyz_coeffs(A: GradedLocalAlgebra, g: RingElement):
-    """(b, c) from a generator of the shape unit*(x + b y + c z), or None."""
-    c1 = g.coeffs.copy() % A.p
-    if g.degree_two_part().any():
+    """(b, c) from a generator of the shape unit*(x + b y + c z), or None.
+
+    x, y, z are the degree-1 basis elements at positions 1, 2, 3, as in
+    the canonical ring, whatever the variables are called.
+    """
+    c1 = g.coeffs % A.p
+    if g.degree_two_part().any() or c1[0] or not c1[1]:
         return None
-    if c1[0] % A.p:
-        return None
-    ix = 1 + A.variables.index("x") if "x" in A.variables else None
-    if ix is None or c1[ix] % A.p == 0:
-        return None
-    scale = pow(int(c1[ix]), A.p - 2, A.p)
-    c1 = c1 * scale % A.p
-    iy = 1 + A.variables.index("y")
-    iz = 1 + A.variables.index("z")
-    return int(c1[iy]), int(c1[iz])
+    scale = pow(int(c1[1]), A.p - 2, A.p)
+    return int(c1[2] * scale % A.p), int(c1[3] * scale % A.p)
 
 
 def gamma(N: PresentationMatrix, T1: PresentationMatrix) -> int:
@@ -207,14 +200,17 @@ def gamma(N: PresentationMatrix, T1: PresentationMatrix) -> int:
 
     rank Ext^1(N, T1) minus the dimension of the unit-lift class span;
     cross-checked against the closed form (2 when b=c=d=f=0 or b=d,c=f,
-    else 1) whenever the inputs match that normal form and char != 2.
+    else 1) whenever char != 2, the ring has the multiplication table of
+    the canonical S = k[x,y,z]/(x^2, y^2, z^2, yz) (variables may be
+    renamed) and the inputs match that normal form.
     """
     u = _cyclic_generator(N)
     v = _cyclic_generator(T1)
     A = N.algebra
     ext = ext1(N, T1)
     value = ext.rank - _unit_class_span_dim(ext)
-    if A.p != 2:
+    if A.p != 2 and np.array_equal(
+            A.mult_table, build_algebra(AlgebraSpec.canonical_s(A.p)).mult_table):
         df = _xyz_coeffs(A, u)
         bc = _xyz_coeffs(A, v)
         if df is not None and bc is not None:

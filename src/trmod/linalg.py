@@ -1,10 +1,9 @@
 """Dense exact linear algebra over prime fields F_p.
 
-Gaussian elimination on int64 numpy arrays with reduction mod p after
-every pivot.  p is tiny (2..7), so machine integers never come close to
-overflow.  The elimination kernel is numba-jitted when numba imports
-cleanly; the pure-Python fallback has identical semantics and is only
-used as a safety net.
+Matrices are int64 numpy arrays with entries reduced mod p.  Gaussian
+elimination runs on the rows as lists of Python ints, which the
+interpreter handles faster than numpy scalars and which cannot
+overflow.
 
 All subspaces are represented by their reduced row-echelon form (RREF),
 which is canonical: two generating sets span the same subspace iff their
@@ -13,66 +12,46 @@ RREFs are byte-identical.
 
 from __future__ import annotations
 
+import bisect
+
 import numpy as np
 
 
-def _rref_kernel(A, p, inv_table):
-    """In-place RREF of A mod p.  Returns rank; pivot columns are written
-    into the first `rank` slots of the last row of `piv_out` trick — see
-    wrapper.  (Kept loop-only so numba can compile it.)"""
-    m, n = A.shape
+def _rref_rows(rows: list[list[int]], n: int, p: int) -> list[int]:
+    """RREF mod p of `rows` (lists of ints in [0, p), n columns), in place.
+
+    Returns the pivot columns; the first len(pivots) rows are then the
+    nonzero rows of the RREF.
+    """
+    m = len(rows)
+    pivots: list[int] = []
     r = 0
     for c in range(n):
-        pr = -1
-        for i in range(r, m):
-            if A[i, c] != 0:
-                pr = i
-                break
-        if pr < 0:
-            continue
-        if pr != r:
-            for j in range(n):
-                t = A[r, j]
-                A[r, j] = A[pr, j]
-                A[pr, j] = t
-        iv = inv_table[A[r, c]]
-        if iv != 1:
-            for j in range(n):
-                A[r, j] = A[r, j] * iv % p
-        for i in range(m):
-            if i != r and A[i, c] != 0:
-                f = p - A[i, c]
-                for j in range(n):
-                    A[i, j] = (A[i, j] + f * A[r, j]) % p
-        r += 1
         if r == m:
             break
-    return r
-
-
-try:  # pragma: no cover - exercised implicitly everywhere
-    from numba import njit
-
-    _rref_kernel = njit(cache=True)(_rref_kernel)
-except ImportError:  # pragma: no cover
-    pass
-
-_INV_TABLES: dict[int, np.ndarray] = {}
-
-
-def inverse_table(p: int) -> np.ndarray:
-    """Table of multiplicative inverses mod p (index 0 unused, holds 0)."""
-    tab = _INV_TABLES.get(p)
-    if tab is None:
-        tab = np.zeros(p, dtype=np.int64)
-        for a in range(1, p):
-            tab[a] = pow(a, p - 2, p)
-        _INV_TABLES[p] = tab
-    return tab
+        pr = r
+        while pr < m and not rows[pr][c]:
+            pr += 1
+        if pr == m:
+            continue
+        piv = rows[pr]
+        rows[pr] = rows[r]
+        if piv[c] != 1:
+            iv = pow(piv[c], p - 2, p)
+            piv = [a * iv % p for a in piv]
+        rows[r] = piv
+        for i in range(m):
+            f = rows[i][c]
+            if f and i != r:
+                f = p - f
+                rows[i] = [(a + f * b) % p for a, b in zip(rows[i], piv)]
+        pivots.append(c)
+        r += 1
+    return pivots
 
 
 def _as_matrix(A) -> np.ndarray:
-    A = np.ascontiguousarray(np.asarray(A, dtype=np.int64))
+    A = np.asarray(A, dtype=np.int64)
     if A.ndim == 1:
         A = A.reshape(1, -1)
     return A
@@ -86,17 +65,28 @@ def rref(A, p: int):
         of pivot column indices (length = rank).
     """
     R = _as_matrix(A) % p
-    R = R.copy()
-    rank_ = _rref_kernel(R, p, inverse_table(p))
-    # Pivot columns = first nonzero column of each of the first rank_ rows.
-    pivots = [int(np.argmax(R[i] != 0)) for i in range(rank_)]
+    rows = R.tolist()
+    pivots = _rref_rows(rows, R.shape[1], p)
+    if pivots:
+        R[:] = rows
     return R, pivots
 
 
 def rank(A, p: int) -> int:
     R = _as_matrix(A) % p
-    R = R.copy()
-    return int(_rref_kernel(R, p, inverse_table(p)))
+    return len(_rref_rows(R.tolist(), R.shape[1], p))
+
+
+def independent_columns(A, p: int, skip: int = 0) -> list[int]:
+    """Columns of A past the first `skip` that lie outside the span of
+    the columns before them, shifted to count from `skip`.
+
+    These are the vectors a loop of `Subspace.add` over A's columns in
+    order keeps once it has added the first `skip`: the pivot columns of
+    one RREF.
+    """
+    _, pivots = rref(A, p)
+    return [c - skip for c in pivots if c >= skip]
 
 
 def nullspace(A, p: int) -> np.ndarray:
@@ -106,15 +96,14 @@ def nullspace(A, p: int) -> np.ndarray:
     free column, unit coordinate at the free column).
     """
     A = _as_matrix(A)
-    m, n = A.shape
+    n = A.shape[1]
     R, pivots = rref(A, p)
     piv_set = set(pivots)
     free = [c for c in range(n) if c not in piv_set]
     N = np.zeros((n, len(free)), dtype=np.int64)
-    for k, f in enumerate(free):
-        N[f, k] = 1
-        for i, c in enumerate(pivots):
-            N[c, k] = (-R[i, f]) % p
+    if free:
+        N[free, range(len(free))] = 1
+        N[pivots] = (-R[: len(pivots)][:, free]) % p
     return N
 
 
@@ -122,14 +111,13 @@ def solve(A, b, p: int):
     """One solution x of A x = b mod p, or None if inconsistent."""
     A = _as_matrix(A)
     b = np.asarray(b, dtype=np.int64).reshape(-1) % p
-    m, n = A.shape
+    n = A.shape[1]
     aug = np.concatenate([A % p, b.reshape(-1, 1)], axis=1)
     R, pivots = rref(aug, p)
     if n in pivots:
         return None
     x = np.zeros(n, dtype=np.int64)
-    for i, c in enumerate(pivots):
-        x[c] = R[i, n]
+    x[pivots] = R[: len(pivots), n]
     return x
 
 
@@ -147,28 +135,6 @@ def inv(A, p: int):
 def det_nonzero(A, p: int) -> bool:
     A = _as_matrix(A)
     return rank(A, p) == A.shape[0]
-
-
-def row_space(A, p: int) -> np.ndarray:
-    """Canonical basis (RREF rows, zero rows dropped) of the row space."""
-    R, pivots = rref(A, p)
-    return R[: len(pivots)].copy()
-
-
-def span_key(A, p: int) -> bytes:
-    """Hashable canonical key of the row space of A."""
-    S = row_space(A, p)
-    return S.shape[0].to_bytes(4, "little") + S.tobytes()
-
-
-def in_row_space(basis_rref: np.ndarray, pivots: list[int], v, p: int) -> bool:
-    """Membership of v in a row space given in RREF with known pivots."""
-    v = np.asarray(v, dtype=np.int64).reshape(-1) % p
-    v = v.copy()
-    for i, c in enumerate(pivots):
-        if v[c]:
-            v = (v - v[c] * basis_rref[i]) % p
-    return not v.any()
 
 
 class Subspace:
@@ -190,25 +156,29 @@ class Subspace:
         return len(self.pivots)
 
     def contains(self, v) -> bool:
-        return in_row_space(self.basis, self.pivots, v, self.p)
+        return not self.reduce(v).any()
 
     def reduce(self, v) -> np.ndarray:
-        """Residual of v after reduction against the basis."""
-        v = np.asarray(v, dtype=np.int64).reshape(-1) % self.p
-        v = v.copy()
-        for i, c in enumerate(self.pivots):
-            if v[c]:
-                v = (v - v[c] * self.basis[i]) % self.p
-        return v
+        """Residual of v after reduction against the basis.
+
+        Each basis row is 1 at its own pivot and 0 at the others, so the
+        coefficient of row i is v's entry at pivot i.
+        """
+        v = np.asarray(v, dtype=np.int64).reshape(-1)
+        return (v - v[self.pivots] @ self.basis) % self.p
 
     def add(self, v) -> bool:
         """Grow the subspace by v.  Returns True if the dimension grew."""
         r = self.reduce(v)
-        if not r.any():
+        nz = np.flatnonzero(r)
+        if not nz.size:
             return False
-        stacked = np.vstack([self.basis, r])
-        self.basis, self.pivots = rref(stacked, self.p)
-        self.basis = self.basis[: len(self.pivots)]
+        c = int(nz[0])
+        r = r * pow(int(r[c]), self.p - 2, self.p) % self.p
+        basis = (self.basis - np.outer(self.basis[:, c], r)) % self.p
+        k = bisect.bisect(self.pivots, c)
+        self.basis = np.insert(basis, k, r, axis=0)
+        self.pivots.insert(k, c)
         return True
 
     def key(self) -> bytes:

@@ -349,19 +349,19 @@ def syzygy(M: PresentationMatrix) -> PresentationMatrix:
     if c == 0:
         return PresentationMatrix.zeros(A, 0, 0)
     N = linalg.nullspace(linearize(M), A.p)  # (c*d, k) columns
-    span = linalg.Subspace(c * d, A.p)
-    for i in A.maximal_ideal_indices():
-        op = module_mult_op(A, np.eye(A.dim, dtype=np.int64)[i], c)
-        for t in range(N.shape[1]):
-            span.add(op @ N[:, t] % A.p)
+    # Generators: the columns of N independent of m*ker and of the columns
+    # before them, i.e. the pivot columns of [m*N | N] past the m*N block.
+    mN = [module_mult_op(A, np.eye(A.dim, dtype=np.int64)[i], c) @ N
+          for i in A.maximal_ideal_indices()]
+    keep = linalg.independent_columns(
+        np.concatenate(mN + [N], axis=1), A.p, skip=len(mN) * N.shape[1])
     gens = []
-    for t in range(N.shape[1]):
-        if span.add(N[:, t]):
-            v = N[:, t]
-            lead = int(v[np.nonzero(v)[0][0]])
-            if lead != 1:
-                v = v * pow(lead, A.p - 2, A.p) % A.p
-            gens.append(v)
+    for t in keep:
+        v = N[:, t]
+        lead = int(v[np.nonzero(v)[0][0]])
+        if lead != 1:
+            v = v * pow(lead, A.p - 2, A.p) % A.p
+        gens.append(v)
     W = np.zeros((c, len(gens), d), dtype=np.int64)
     for g, v in enumerate(gens):
         W[:, g, :] = v.reshape(c, d)
@@ -462,11 +462,9 @@ def has_m2_column(M: PresentationMatrix) -> bool:
         return False
     lin = linearize(M)
     V = linalg.Subspace(r * d, A.p, lin.T)
-    mV = linalg.Subspace(r * d, A.p)
-    for i in A.maximal_ideal_indices():
-        op = module_mult_op(A, np.eye(A.dim, dtype=np.int64)[i], r)
-        for row in V.basis:
-            mV.add(op @ row % A.p)
+    mV = linalg.Subspace(r * d, A.p, np.concatenate([
+        V.basis @ module_mult_op(A, np.eye(A.dim, dtype=np.int64)[i], r).T
+        for i in A.maximal_ideal_indices()]))
     # V ∩ m^2 R^r: solutions of (combination of V-basis) vanishing on
     # all coordinates outside the m^2 block of each copy of R.
     non_m2 = [t * d + i for t in range(r) for i in range(1 + A.e)]
@@ -691,12 +689,10 @@ def endomorphism_space(M: PresentationMatrix):
     p = A.p
     d = A.dim
     r, c = M.rows, M.cols
-    lin = linearize(M)
     # Unknowns: phi0 (r*r*d) and phi1 (c*c*d), equations phi0*M - M*phi1 = 0
     # as ring matrices, i.e. r*c*d scalar equations.
     n0 = r * r * d
     n1 = c * c * d
-    rows = []
     C = A.mult_table
     # phi0*M: (phi0*M)[i,j] = sum_l phi0[i,l] * M[l,j]
     sys = np.zeros((r * c * d, n0 + n1), dtype=np.int64)
@@ -722,11 +718,8 @@ def endomorphism_space(M: PresentationMatrix):
         ops.append(op.reshape(-1))
     if not ops:
         return cok, np.zeros((0, q, q), dtype=np.int64)
-    span = linalg.Subspace(q * q, p)
-    basis = []
-    for v in ops:
-        if span.add(v):
-            basis.append(v.reshape(q, q))
+    keep = linalg.independent_columns(np.stack(ops, axis=1), p)
+    basis = [ops[t].reshape(q, q) for t in keep]
     return cok, np.stack(basis) if basis else np.zeros((0, q, q), dtype=np.int64)
 
 
@@ -824,10 +817,8 @@ def _radical_of_matrix_algebra(basis: np.ndarray, p: int):
     for _ in range(n + 2):
         if layer.shape[0] == 0:
             return rad
-        nxt = linalg.Subspace(n * n, p)
-        for a in layer:
-            for r in rad:
-                nxt.add((a @ r % p).reshape(-1))
+        nxt = linalg.Subspace(n * n, p, [(a @ r % p).reshape(-1)
+                                         for a in layer for r in rad])
         layer = (nxt.basis.reshape(-1, n, n)
                  if nxt.dim else np.zeros((0, n, n), dtype=np.int64))
     return None
@@ -858,11 +849,8 @@ def is_indecomposable(M: PresentationMatrix, budget: int = 1 << 22):
     # phi(mV) = m phi(V) and m^3 = 0 gives phi^3 = 0.  E/K embeds in the
     # small matrix algebra End(V / mV), whose radical is computed with the
     # characteristic-p chain and verified, then pulled back to E.
-    mV = linalg.Subspace(q, p)
-    for i in np.where(A.degrees == 1)[0]:
-        op = cok.mult_op(A.gen(int(i)).coeffs)
-        for col in op.T:
-            mV.add(col)
+    mV = linalg.Subspace(q, p, np.concatenate(
+        [cok.mult_op(A.gen(int(i)).coeffs).T for i in np.where(A.degrees == 1)[0]]))
     top = [i for i in range(q) if i not in set(mV.pivots)]
     n0 = len(top)
     if n0 == 0:
@@ -872,15 +860,11 @@ def is_indecomposable(M: PresentationMatrix, budget: int = 1 << 22):
         cols = [mV.reduce(op[:, j])[top] for j in top]
         return np.stack(cols, axis=1) % p
 
-    bar_span = linalg.Subspace(n0 * n0, p)
-    bar_mats = []   # independent induced operators on V / mV
-    bar_lifts = []  # matching preimages in E
-    for b in basis:
-        tb = top_action(b % p)
-        if bar_span.add(tb.reshape(-1)):
-            bar_mats.append(tb)
-            bar_lifts.append(b % p)
     act = np.stack([top_action(b % p).reshape(-1) for b in basis], axis=1) % p
+    bar = linalg.independent_columns(act, p)
+    # independent induced operators on V / mV and matching preimages in E
+    bar_mats = [act[:, t].reshape(n0, n0) for t in bar]
+    bar_lifts = [basis[t] % p for t in bar]
     Kcoords = linalg.nullspace(act, p)
     K_ops = (np.tensordot(Kcoords.T, basis, axes=(1, 0)) % p
              if Kcoords.shape[1] else np.zeros((0, q, q), dtype=np.int64))
@@ -893,7 +877,7 @@ def is_indecomposable(M: PresentationMatrix, budget: int = 1 << 22):
         bar_rad = np.zeros((0, n0, n0), dtype=np.int64)
     lifted = []
     if bar_rad.shape[0]:
-        barT = np.stack([bm.reshape(-1) for bm in bar_mats], axis=1) % p
+        barT = act[:, bar]
         stack_lifts = np.stack(bar_lifts)
         for r in bar_rad:
             sol = linalg.solve(barT, r.reshape(-1) % p, p)
@@ -905,11 +889,10 @@ def is_indecomposable(M: PresentationMatrix, budget: int = 1 << 22):
     span = linalg.Subspace(q * q, p,
                            np.stack(rad_vecs) if rad_vecs else None)
     m = span.dim
-    rad_basis = span.basis.copy()
-    comp = []
-    for b in basis:
-        if span.add(b.reshape(-1)):
-            comp.append(b % p)
+    rad_basis = span.basis
+    flat = basis.reshape(nb, q * q) % p
+    comp = [flat[t].reshape(q, q) for t in linalg.independent_columns(
+        np.concatenate([rad_basis, flat]).T, p, skip=m)]
     mc = len(comp)
     if mc == 0:
         raise AssertionError("identity endomorphism lost in the quotient")

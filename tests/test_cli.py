@@ -53,8 +53,10 @@ def test_ring_invalid_file(capsys, tmp_path):
     assert "error" in rep["result"]
 
 
-def test_ring_missing_file(capsys):
+def test_ring_missing_file(capsys, tmp_path):
     code, rep = run(capsys, "ring", "check", "/nonexistent/ring.json")
+    assert code == 3
+    code, rep = run(capsys, "ring", "check", str(tmp_path))  # a directory
     assert code == 3
 
 
@@ -211,3 +213,14 @@ def test_human_output(capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert "count: 4" in out
+
+
+def test_internal_error_has_its_own_exit_code(capsys, monkeypatch):
+    def crash(A):
+        raise RuntimeError("boom")
+
+    monkeypatch.setattr("trmod.cli.enumerate_ezd", crash)
+    code, rep = run(capsys, "ezd", "S:2")
+    assert code == 4
+    assert code not in (0, 1, 2, 3)
+    assert rep["result"]["error"] == "internal error: RuntimeError: boom"

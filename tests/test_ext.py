@@ -162,3 +162,15 @@ def test_les_rank_bound_split_case(S3):
 def test_les_rank_bound_rejects_non_extension(S3):
     with pytest.raises(ValidationError):
         les_rank_bound_check(cyc(S3, 0, 0), cyc(S3, 0, 0), cyc(S3, 0, 0))
+
+
+def test_gamma_over_renamed_variables_matches_canonical(S3):
+    # x, a, b in place of x, y, z: same multiplication table, so the
+    # closed-form cross-check applies by position instead of crashing
+    R = build_algebra(AlgebraSpec(3, ["x", "a", "b"], ["x^2", "a^2", "b^2", "a*b"]))
+    assert (R.mult_table == S3.mult_table).all()
+    us = [(0, 1, b, c, 0, 0) for b in range(3) for c in range(3)]
+    vs = [(0, 2, 1, 0, 0, 1), (0, 1, 0, 0, 0, 0), (0, 1, 2, 1, 1, 2)]
+    for u, v in itertools.product(us, vs):
+        expect = gamma(*(PresentationMatrix(S3, [[w]]) for w in (u, v)))
+        assert gamma(*(PresentationMatrix(R, [[w]]) for w in (u, v))) == expect

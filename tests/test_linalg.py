@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from trmod import linalg
 
@@ -85,3 +86,142 @@ def test_nullspace_canonical():
     A = np.array([[1, 2, 1]], dtype=np.int64)
     B = np.array([[2, 4, 2], [1, 2, 1]], dtype=np.int64)
     assert (linalg.nullspace(A, 5) == linalg.nullspace(B, 5)).all()
+
+
+# -- differential tests against a reference elimination ------------------------
+#
+# The reference is a plain elimination loop over numpy scalars, sharing no
+# code with linalg's kernel; every public result must match it entry for
+# entry.
+
+
+def _ref_rref(A, p):
+    R = np.array(A, dtype=np.int64) % p
+    m, n = R.shape
+    r = 0
+    for c in range(n):
+        pr = -1
+        for i in range(r, m):
+            if R[i, c] != 0:
+                pr = i
+                break
+        if pr < 0:
+            continue
+        if pr != r:
+            R[[r, pr]] = R[[pr, r]]
+        iv = pow(int(R[r, c]), p - 2, p)
+        for j in range(n):
+            R[r, j] = R[r, j] * iv % p
+        for i in range(m):
+            if i != r and R[i, c] != 0:
+                f = p - R[i, c]
+                for j in range(n):
+                    R[i, j] = (R[i, j] + f * R[r, j]) % p
+        r += 1
+        if r == m:
+            break
+    return R, [int(np.argmax(R[i] != 0)) for i in range(r)]
+
+
+def _ref_nullspace(A, p):
+    R, pivots = _ref_rref(A, p)
+    n = R.shape[1]
+    free = [c for c in range(n) if c not in pivots]
+    N = np.zeros((n, len(free)), dtype=np.int64)
+    for k, f in enumerate(free):
+        N[f, k] = 1
+        for i, c in enumerate(pivots):
+            N[c, k] = (-R[i, f]) % p
+    return N
+
+
+@st.composite
+def _matrices(draw, max_rows=8, max_cols=8):
+    """(A, p) with 0..8 rows, 1..8 columns and entries anywhere in
+    [-p, 2p), sometimes all zero."""
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    m = draw(st.integers(0, max_rows))
+    n = draw(st.integers(1, max_cols))
+    cells = draw(st.lists(st.integers(-p, 2 * p - 1), min_size=m * n, max_size=m * n))
+    A = np.array(cells, dtype=np.int64).reshape(m, n)
+    if draw(st.booleans()) and draw(st.booleans()):
+        A[:] = 0
+    return A, p
+
+
+@settings(max_examples=300, deadline=None)
+@given(_matrices())
+def test_rref_rank_nullspace_match_reference(case):
+    A, p = case
+    R, pivots = linalg.rref(A, p)
+    R_ref, piv_ref = _ref_rref(A, p)
+    assert R.dtype == np.int64 and R.shape == A.shape
+    assert R.tobytes() == R_ref.tobytes()
+    assert pivots == piv_ref
+    assert linalg.rank(A, p) == len(piv_ref)
+    N = linalg.nullspace(A, p)
+    assert N.tobytes() == _ref_nullspace(A, p).tobytes()
+    assert N.shape == (A.shape[1], A.shape[1] - len(piv_ref))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_matrices(), st.data())
+def test_solve_matches_reference(case, data):
+    A, p = case
+    b = np.array(data.draw(st.lists(st.integers(0, p - 1), min_size=A.shape[0],
+                                    max_size=A.shape[0])), dtype=np.int64)
+    x = linalg.solve(A, b, p)
+    R, pivots = _ref_rref(np.concatenate([A % p, b.reshape(-1, 1)], axis=1), p)
+    n = A.shape[1]
+    if n in pivots:
+        assert x is None
+        return
+    x_ref = np.zeros(n, dtype=np.int64)
+    for i, c in enumerate(pivots):
+        x_ref[c] = R[i, n]
+    assert x.tobytes() == x_ref.tobytes()
+    assert ((A @ x - b) % p == 0).all()
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([2, 3, 5, 7]), st.integers(0, 6), st.data())
+def test_inv_matches_reference(p, n, data):
+    cells = data.draw(st.lists(st.integers(0, p - 1), min_size=n * n, max_size=n * n))
+    A = np.array(cells, dtype=np.int64).reshape(n, n)
+    Ainv = linalg.inv(A, p)
+    R, pivots = _ref_rref(np.concatenate([A, np.eye(n, dtype=np.int64)], axis=1), p)
+    if pivots[:n] != list(range(n)):
+        assert Ainv is None
+        assert not linalg.det_nonzero(A, p)
+        return
+    assert Ainv.tobytes() == R[:, n:].copy().tobytes()
+    assert (A @ Ainv % p == np.eye(n, dtype=np.int64)).all()
+
+
+@settings(max_examples=300, deadline=None)
+@given(_matrices())
+def test_subspace_grown_by_add_matches_one_call(case):
+    V, p = case
+    n = V.shape[1]
+    whole = linalg.Subspace(n, p, V)
+    grown = linalg.Subspace(n, p)
+    for k, v in enumerate(V):
+        grew = len(_ref_rref(V[: k + 1], p)[1]) > len(_ref_rref(V[:k], p)[1])
+        assert grown.add(v) == grew
+        assert grown.key() == linalg.Subspace(n, p, V[: k + 1]).key()
+    assert grown.key() == whole.key()
+    assert grown.pivots == whole.pivots
+    for v in V:
+        assert whole.contains(v)
+        assert not whole.reduce(v).any()
+
+
+def test_independent_columns_is_greedy_add():
+    rng = np.random.default_rng(7)
+    for p in (2, 3, 5, 7):
+        for _ in range(40):
+            A = _random_matrix(rng, int(rng.integers(1, 7)), int(rng.integers(0, 9)), p)
+            skip = int(rng.integers(0, A.shape[1] + 1))
+            span = linalg.Subspace(A.shape[0], p, A[:, :skip].T)
+            greedy = [t for t in range(A.shape[1] - skip) if span.add(A[:, skip + t])]
+            assert linalg.independent_columns(A, p, skip=skip) == greedy

@@ -4,16 +4,20 @@ import pytest
 from trmod.algebra import AlgebraSpec, build_algebra
 from trmod.errors import BudgetExceededError, ValidationError
 from trmod.modmat import (
+    CokernelSpace,
     PresentationMatrix,
+    _coker_operator,
     coker_length,
     column_reduce_to_lt,
     column_reduce_to_ut,
     dual,
+    endomorphism_space,
     has_m2_column,
     is_equivalent,
     is_indecomposable,
     linearize,
     minimize,
+    module_mult_op,
     prune_presentation,
     ring_matmul,
     syzygy,
@@ -192,3 +196,103 @@ def test_column_reduce_to_ut(S2):
     lt = column_reduce_to_lt(syzygy(ut.transpose()))
     assert lt is not None
     assert lt.transpose().is_upper_triangular
+
+
+# -- one RREF in place of a loop of Subspace.add -------------------------------
+#
+# References: syzygy, has_m2_column and endomorphism_space with their spans
+# built one Subspace.add at a time, the greedy loops one RREF replaces.
+
+
+def _greedy_syzygy(M):
+    A = M.algebra
+    c, d = M.cols, A.dim
+    N = linalg.nullspace(linearize(M), A.p)
+    span = linalg.Subspace(c * d, A.p)
+    for i in A.maximal_ideal_indices():
+        op = module_mult_op(A, np.eye(A.dim, dtype=np.int64)[i], c)
+        for t in range(N.shape[1]):
+            span.add(op @ N[:, t] % A.p)
+    gens = []
+    for t in range(N.shape[1]):
+        if span.add(N[:, t]):
+            v = N[:, t]
+            lead = int(v[np.nonzero(v)[0][0]])
+            gens.append(v * pow(lead, A.p - 2, A.p) % A.p)
+    W = np.zeros((c, len(gens), d), dtype=np.int64)
+    for g, v in enumerate(gens):
+        W[:, g, :] = v.reshape(c, d)
+    return PresentationMatrix(A, W)
+
+
+def _greedy_has_m2_column(M):
+    A = M.algebra
+    d, r = A.dim, M.rows
+    V = linalg.Subspace(r * d, A.p, linearize(M).T)
+    mV = linalg.Subspace(r * d, A.p)
+    for i in A.maximal_ideal_indices():
+        op = module_mult_op(A, np.eye(A.dim, dtype=np.int64)[i], r)
+        for row in V.basis:
+            mV.add(op @ row % A.p)
+    non_m2 = [t * d + i for t in range(r) for i in range(1 + A.e)]
+    B = V.basis.T
+    K = linalg.nullspace(B[non_m2, :], A.p)
+    for t in range(K.shape[1]):
+        vec = B @ K[:, t] % A.p
+        if vec.any() and not mV.contains(vec):
+            return True
+    return False
+
+
+def _greedy_endomorphism_basis(M):
+    A = M.algebra
+    p, d, C = A.p, A.dim, A.mult_table
+    r, c = M.rows, M.cols
+    n0 = r * r * d
+    sys = np.zeros((r * c * d, n0 + c * c * d), dtype=np.int64)
+    for i in range(r):
+        for j in range(c):
+            eq = slice((i * c + j) * d, (i * c + j + 1) * d)
+            for l in range(r):
+                block = np.einsum("def,e->df", C, M.entries[l, j]) % p
+                sys[eq, (i * r + l) * d:(i * r + l + 1) * d] = block.T
+            for l in range(c):
+                block = np.einsum("def,d->ef", C, M.entries[i, l]) % p
+                sys[eq, n0 + (l * c + j) * d:n0 + (l * c + j + 1) * d] = -block.T % p
+    N = linalg.nullspace(sys, p)
+    cok = CokernelSpace(M)
+    q = cok.length
+    span = linalg.Subspace(q * q, p)
+    basis = []
+    for t in range(N.shape[1]):
+        v = _coker_operator(cok, N[:n0, t].reshape(r, r, d)).reshape(-1)
+        if span.add(v):
+            basis.append(v.reshape(q, q))
+    return np.stack(basis) if basis else np.zeros((0, q, q), dtype=np.int64)
+
+
+@pytest.mark.parametrize("p, seed", [(2, 11), (3, 12), (5, 13)])
+def test_one_rref_span_building_matches_greedy_add(p, seed):
+    A = build_algebra(AlgebraSpec.canonical_s(p))
+    rng = np.random.default_rng(seed)
+    shapes = [(1, 1), (1, 2), (2, 1), (2, 2), (2, 3), (3, 2)]
+    for k in range(24):
+        r, c = shapes[k % len(shapes)]
+        ent = rng.integers(0, p, size=(r, c, A.dim))
+        ent[:, :, 0] = 0  # minimal
+        if k % 3 == 0:
+            ent[:, :, 1 + A.e:] = 0  # linear entries: larger syzygies
+        mat = PresentationMatrix(A, ent)
+        for _ in range(2):  # the matrix and its first syzygy
+            if mat.cols == 0 or not mat.is_minimal:  # zero columns: unit syzygies
+                break
+            syz = syzygy(mat)
+            ref = _greedy_syzygy(mat)
+            assert syz.entries.shape == ref.entries.shape
+            assert syz.entries.tobytes() == ref.entries.tobytes()
+            assert has_m2_column(mat) == _greedy_has_m2_column(mat)
+            if mat.rows <= 2:
+                _, basis = endomorphism_space(mat)
+                assert basis.tobytes() == _greedy_endomorphism_basis(mat).tobytes()
+                assert basis.shape == _greedy_endomorphism_basis(mat).shape
+            mat = syz
