@@ -282,9 +282,6 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--json", action="store_true", help="emit a JSON report")
     ap.add_argument("--allow-gorenstein", action="store_true")
     ap.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
-    ap.add_argument("--seed", type=int, default=0,
-                    help="recorded for reproducibility")
-    ap.add_argument("--jobs", type=int, default=1)
     sub = ap.add_subparsers(dest="command", required=True)
 
     ring = sub.add_parser("ring", help="ring-level reports")

@@ -172,20 +172,18 @@ _UT_SEARCH_MAX_P = 3
 _UT_SOLUTION_CAP = 6  # max nullity enumerated per scalar pair
 
 
-def _matrix_order_key(M: PresentationMatrix):
-    return tuple(M.entry(i, j).order_key()
-                 for i in range(M.rows) for j in range(M.cols))
-
-
 def find_ut_form(M: PresentationMatrix):
     """Upper triangular form of M under equivalence, if one exists.
 
     Exhausts scalar parts (P0, Q0) over GL_n x GL_n; for each pair with
     upper triangular transformed linear part, solvability of the
     below-diagonal quadratic system (over the correction space of M)
-    decides whether a full UT form exists.  Returns (witness, UT form)
-    with the lexicographically smallest UT form found, or None after the
-    certified-exhaustive sweep.
+    decides whether a full UT form exists.  Returns (witness, UT form),
+    or None after the certified-exhaustive sweep.  The form is the
+    smallest, by RingElement.order_key entry by entry row-major, of the
+    particular solutions of the solvable pairs; all solutions are tried
+    only at nullity <= _UT_SOLUTION_CAP, which needs e >= 15 (n = 2) or
+    e >= 11 (n = 3).  It is not in general the smallest UT form of M.
     """
     A = M.algebra
     p = A.p
@@ -197,12 +195,10 @@ def find_ut_form(M: PresentationMatrix):
     if n == 0:
         return EquivalenceWitness(A, np.zeros((0, 0, A.dim), dtype=np.int64),
                                   np.zeros((0, 0, A.dim), dtype=np.int64)), M
-    if n > _UT_SEARCH_MAX_N or p > _UT_SEARCH_MAX_P:
-        raise BudgetExceededError(
-            f"UT-form search limited to n <= {_UT_SEARCH_MAX_N}, "
-            f"p <= {_UT_SEARCH_MAX_P}",
-            required=n, budget=_UT_SEARCH_MAX_N,
-        )
+    for name, value, cap in (("n", n, _UT_SEARCH_MAX_N), ("p", p, _UT_SEARCH_MAX_P)):
+        if value > cap:
+            raise BudgetExceededError(f"UT-form search limited to {name} <= {cap}",
+                                      required=value, budget=cap)
     if M.is_upper_triangular:
         w = is_equivalent(M, M)
         return w, M
@@ -210,50 +206,53 @@ def find_ut_form(M: PresentationMatrix):
     A1 = M.linear_part()
     A2 = M.quadratic_part()
     corr, _gens = correction_space(M)
+    g = corr.shape[1]
+    corr = corr.reshape(n, n, s2, g)
     GL = general_linear_group(n, p)
-    below = [(i, j) for i in range(n) for j in range(n) if i > j]
+    lo_i, lo_j = np.tril_indices(n, -1)
+    # entry (i, j) of P0*A1*Q0 is u*A1*v for u row i of P0 and v column j
+    # of Q0; zero[u, v] says whether it vanishes, u and v numbered by
+    # their base-p digits as in vecs
+    vecs = np.array(list(itertools.product(range(p), repeat=n)))
+    zero = ~(np.einsum("ui,ije,vj->uve", vecs, A1, vecs) % p).any(axis=2)
+    digits = p ** np.arange(n - 1, -1, -1)
+    row_of = GL @ digits
+    col_of = (GL.transpose(0, 2, 1) @ digits)[:, lo_j]
+    # the nullity is at least g minus the number of equations
+    enumerate_null = g - len(lo_i) * s2 <= _UT_SOLUTION_CAP
     best = None
-    for P0 in GL:
-        LA1 = np.einsum("il,lje->ije", P0, A1) % p
-        for Q0 in GL:
-            N1 = np.einsum("ile,lj->ije", LA1, Q0) % p
-            if any(N1[i, j].any() for i, j in below):
-                continue
-            N2_base = np.einsum("il,ljs,jm->ims", P0, A2, Q0) % p
-            # conjugate each correction generator and keep below-diagonal rows
-            conj = np.einsum("il,ljsg,jm->imsg",
-                             P0, corr.reshape(n, n, s2, -1), Q0) % p
-            rows = np.stack([conj[i, j].reshape(s2, -1) for i, j in below]) \
-                if below else np.zeros((0, s2, corr.shape[1]), dtype=np.int64)
-            sysA = rows.reshape(-1, corr.shape[1])
-            rhs = np.concatenate([(-N2_base[i, j]) % p for i, j in below]) \
-                if below else np.zeros(0, dtype=np.int64)
-            part = linalg.solve(sysA, rhs, p)
+    for a, P0 in enumerate(GL):
+        Qs = GL[zero[row_of[a, lo_i], col_of].all(axis=1)]
+        if not len(Qs):
+            continue
+        N1 = np.einsum("il,lje,qjm->qime", P0, A1, Qs) % p
+        N2_base = np.einsum("il,ljs,qjm->qims", P0, A2, Qs) % p
+        # conjugate each correction generator; its below-diagonal rows
+        # are the system that clears the quadratic part below the diagonal
+        conj = np.einsum("il,ljsg,qjm->qimsg", P0, corr, Qs) % p
+        sysA = conj[:, lo_i, lo_j].reshape(len(Qs), -1, g)
+        rhs = (-N2_base[:, lo_i, lo_j].reshape(len(Qs), -1)) % p
+        for q in range(len(Qs)):
+            part = linalg.solve(sysA[q], rhs[q], p)
             if part is None:
                 continue
-            null = linalg.nullspace(sysA, p)
             sols = [part]
-            if 0 < null.shape[1] <= _UT_SOLUTION_CAP:
-                for combo in itertools.product(range(p), repeat=null.shape[1]):
-                    if not any(combo):
-                        continue
-                    sols.append((part + null @ np.array(combo, dtype=np.int64)) % p)
+            if enumerate_null:
+                null = linalg.nullspace(sysA[q], p)
+                if 0 < null.shape[1] <= _UT_SOLUTION_CAP:
+                    for combo in itertools.product(range(p), repeat=null.shape[1]):
+                        if any(combo):
+                            sols.append((part + null @ np.array(combo, dtype=np.int64)) % p)
             for coeffs in sols:
-                delta = (corr @ coeffs % p).reshape(n, n, s2)
-                conj_delta = np.einsum("il,ljs,jm->ims", P0, delta, Q0) % p
-                N2 = (N2_base + conj_delta) % p
                 ent = np.zeros((n, n, A.dim), dtype=np.int64)
-                ent[:, :, 1:1 + e] = N1
-                ent[:, :, 1 + e:] = N2
-                N = PresentationMatrix(A, ent)
-                if not N.is_upper_triangular:
-                    continue
-                key = _matrix_order_key(N)
+                ent[:, :, 1:1 + e] = N1[q]
+                ent[:, :, 1 + e:] = (N2_base[q] + conj[q] @ coeffs) % p
+                key = tuple(ent[:, :, ::-1].reshape(-1).tolist())
                 if best is None or key < best[0]:
-                    best = (key, N)
+                    best = (key, ent)
     if best is None:
         return None
-    N = best[1]
+    N = PresentationMatrix(A, best[1])
     w = is_equivalent(M, N)
     assert w is not None
     return w, N

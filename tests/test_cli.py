@@ -154,6 +154,15 @@ def test_filtrate_finds_ut_form(capsys, matrix_file):
     assert rep["result"]["ut_form"] is not None
 
 
+def test_filtrate_refuses_large_prime(capsys, matrix_file):
+    m = matrix_file([["x", "z"], ["y", "x"]])
+    code, rep = run(capsys, "filtrate", "S:5", m)
+    assert code == 2
+    assert (rep["result"]["required"], rep["result"]["budget"]) == (5, 3)
+    assert set(rep["inputs"]) == {"allow_gorenstein", "budget", "command",
+                                  "ring", "matrix"}
+
+
 def test_classify(capsys):
     code, rep = run(capsys, "classify", "S:2")
     assert code == 0

@@ -1,7 +1,10 @@
+import itertools
 import warnings
 
+import numpy as np
 import pytest
 
+from trmod import linalg
 from trmod.algebra import AlgebraSpec, build_algebra
 from trmod.errors import BudgetExceededError, ValidationError
 from trmod.filtration import (
@@ -11,7 +14,14 @@ from trmod.filtration import (
     mb_preconditions,
     submodule_step,
 )
-from trmod.modmat import PresentationMatrix, coker_length, ring_matmul
+from trmod.modmat import (
+    PresentationMatrix,
+    coker_length,
+    correction_space,
+    general_linear_group,
+    is_equivalent,
+    ring_matmul,
+)
 from trmod.totref import check_totally_reflexive, check_ut_tr
 
 
@@ -127,8 +137,153 @@ def test_find_ut_form_budget(S2):
     for i in range(4):
         ent[i, i] = S2.from_expr("x").coeffs
     ent[1, 0] = S2.from_expr("y").coeffs
-    with pytest.raises(BudgetExceededError):
+    with pytest.raises(BudgetExceededError) as err:
         find_ut_form(PresentationMatrix(S2, ent))
+    assert (err.value.required, err.value.budget) == (4, 3)
+
+
+def test_find_ut_form_budget_reports_the_prime():
+    # a 2x2 input is within the size cap; the prime 5 is what is refused
+    S5 = build_algebra(AlgebraSpec.canonical_s(5))
+    with pytest.raises(BudgetExceededError, match="p <= 3") as err:
+        find_ut_form(M(S5, [["x", "z"], ["y", "x"]]))
+    assert (err.value.required, err.value.budget) == (5, 3)
+
+
+def _scan_pairs_reference(mat):
+    """The UT form find_ut_form returns, found by the plain double loop
+    over (P0, Q0) in GL_n x GL_n, one pair at a time, compared entry by
+    entry with RingElement.order_key."""
+    A, p, n = mat.algebra, mat.algebra.p, mat.rows
+    e, s2 = A.e, A.s2
+    A1, A2 = mat.linear_part(), mat.quadratic_part()
+    corr, _ = correction_space(mat)
+    GL = general_linear_group(n, p)
+    below = [(i, j) for i in range(n) for j in range(n) if i > j]
+    best = None
+    for P0 in GL:
+        LA1 = np.einsum("il,lje->ije", P0, A1) % p
+        for Q0 in GL:
+            N1 = np.einsum("ile,lj->ije", LA1, Q0) % p
+            if any(N1[i, j].any() for i, j in below):
+                continue
+            N2_base = np.einsum("il,ljs,jm->ims", P0, A2, Q0) % p
+            conj = np.einsum("il,ljsg,jm->imsg",
+                             P0, corr.reshape(n, n, s2, -1), Q0) % p
+            sysA = np.stack([conj[i, j].reshape(s2, -1) for i, j in below]
+                            ).reshape(-1, corr.shape[1])
+            rhs = np.concatenate([(-N2_base[i, j]) % p for i, j in below])
+            part = linalg.solve(sysA, rhs, p)
+            if part is None:
+                continue
+            null = linalg.nullspace(sysA, p)
+            sols = [part]
+            if 0 < null.shape[1] <= 6:
+                for combo in itertools.product(range(p), repeat=null.shape[1]):
+                    if any(combo):
+                        sols.append((part + null @ np.array(combo)) % p)
+            for coeffs in sols:
+                delta = (corr @ coeffs % p).reshape(n, n, s2)
+                N2 = (N2_base + np.einsum("il,ljs,jm->ims", P0, delta, Q0)) % p
+                ent = np.zeros((n, n, A.dim), dtype=np.int64)
+                ent[:, :, 1:1 + e] = N1
+                ent[:, :, 1 + e:] = N2
+                N = PresentationMatrix(A, ent)
+                if not N.is_upper_triangular:
+                    continue
+                key = tuple(N.entry(i, j).order_key()
+                            for i in range(n) for j in range(n))
+                if best is None or key < best[0]:
+                    best = (key, N)
+    return None if best is None else best[1]
+
+
+def _random_minimal(rng, A, n):
+    ent = rng.integers(0, A.p, (n, n, A.dim))
+    ent[:, :, 0] = 0
+    return ent
+
+
+def _gl(n, p):
+    """GL_n(F_p), n <= 3, built here so that the orbit checks share
+    nothing with trmod's search."""
+    mats = np.array(list(itertools.product(range(p), repeat=n * n))).reshape(-1, n, n)
+    return mats[np.rint(np.linalg.det(mats)).astype(np.int64) % p != 0]
+
+
+def _linear_ut_orbit(L, p):
+    """Whether some P0 * L * Q0, P0 and Q0 in GL_n(F_p), is zero below the
+    diagonal.  A minimal presentation equivalent to a UT one needs such a
+    pair, since the scalar parts of the equivalence act on its linear part."""
+    G = _gl(L.shape[0], p)
+    orbit = np.einsum("aij,jkv,bkl->abilv", G, L, G) % p
+    lo_i, lo_j = np.tril_indices(L.shape[0], -1)
+    return not orbit[:, :, lo_i, lo_j].reshape(len(G) ** 2, -1).any(axis=1).all()
+
+
+def _disguised_ut(rng, A, n):
+    """P * U * Q for a random UT U with nonzero linear diagonal and random
+    invertible ring matrices P, Q with random degree-1 and -2 parts."""
+    U = np.triu(_random_minimal(rng, A, n).transpose(2, 0, 1)).transpose(1, 2, 0)
+    for i in range(n):
+        while not U[i, i, 1:1 + A.e].any():
+            U[i, i, 1:1 + A.e] = rng.integers(0, A.p, A.e)
+    GL = _gl(n, A.p)
+    P, Q = (_random_minimal(rng, A, n) for _ in range(2))
+    P[:, :, 0] = GL[rng.integers(len(GL))]
+    Q[:, :, 0] = GL[rng.integers(len(GL))]
+    return ring_matmul(A, ring_matmul(A, P, U), Q)
+
+
+def _without_ut(rng, A, n):
+    """A random minimal matrix with no UT form, by the orbit check."""
+    while True:
+        ent = _random_minimal(rng, A, n)
+        if not _linear_ut_orbit(ent[:, :, 1:1 + A.e], A.p):
+            return ent
+
+
+@pytest.mark.parametrize("p, n, draws", [(2, 2, 16), (3, 2, 16), (2, 3, 6)])
+def test_find_ut_form_matches_pairwise_scan(p, n, draws):
+    # byte for byte against the one-pair-at-a-time loop: the UT form and
+    # the witness is_equivalent builds for it, on seeded minimal inputs
+    # with random degree-2 parts, half of them disguised UT matrices
+    A = build_algebra(AlgebraSpec.canonical_s(p))
+    rng = np.random.default_rng(100 * p + n)
+    for k in range(draws):
+        ent = _disguised_ut(rng, A, n) if k % 2 else _without_ut(rng, A, n)
+        mat = PresentationMatrix(A, ent)
+        ref = _scan_pairs_reference(mat)
+        got = find_ut_form(mat)
+        assert (got is not None) == (ref is not None) == bool(k % 2)
+        if ref is None:
+            continue
+        w, ut = got
+        ref_w = is_equivalent(mat, ref)
+        assert ut.entries.tobytes() == ref.entries.tobytes()
+        assert w.P.tobytes() == ref_w.P.tobytes()
+        assert w.Q.tobytes() == ref_w.Q.tobytes()
+
+
+def test_find_ut_form_3x3_disguised(S2):
+    U = M(S2, [["x", "y", "0"], ["0", "x + y", "z"], ["0", "0", "x + z"]])
+    P = M(S2, [["0", "1", "y"], ["1", "z", "0"], ["x", "1", "1"]]).entries
+    Q = M(S2, [["1", "0", "1"], ["y", "1", "0"], ["1", "1", "x"]]).entries
+    mat = PresentationMatrix(S2, ring_matmul(S2, ring_matmul(S2, P, U.entries), Q))
+    assert not mat.is_upper_triangular and mat.quadratic_part().any()
+    w, ut = find_ut_form(mat)
+    assert ut.is_upper_triangular
+    assert w.verify(mat, ut)
+    assert filtrate_ut(ut).lengths == [3, 6, 9]
+
+
+def test_find_ut_form_3x3_none_by_orbit_enumeration(S2):
+    # certified without trmod's search: none of the 168^2 pairs in
+    # GL_3(F_2) x GL_3(F_2) clears the linear part below the diagonal
+    assert len(_gl(3, 2)) == 168
+    rows = [["x", "x", "0"], ["y", "0", "z"], ["z", "0", "x"]]
+    assert not _linear_ut_orbit(M(S2, rows).linear_part(), 2)
+    assert find_ut_form(M(S2, rows)) is None
 
 
 def test_mb_matrix_pattern(S2):
