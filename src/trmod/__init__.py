@@ -37,7 +37,6 @@ from .ext import (
     les_rank_bound_check,
     pushout_middle,
 )
-from .field import FieldElement, PrimeField
 from .filtration import (
     Filtration,
     filtrate_ut,

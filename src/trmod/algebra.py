@@ -16,7 +16,6 @@ import numpy as np
 
 from . import expr, linalg
 from .errors import ValidationError
-from .field import PrimeField
 
 
 @dataclass
@@ -34,10 +33,9 @@ class AlgebraSpec:
 class GradedLocalAlgebra:
     """Finite-dimensional graded local algebra, immutable after build."""
 
-    def __init__(self, spec, field, basis_labels, degrees, mult_table, mono_reduction):
+    def __init__(self, spec, basis_labels, degrees, mult_table, mono_reduction):
         self.spec = spec
-        self.field = field
-        self.p = field.p
+        self.p = spec.characteristic
         self.variables = list(spec.variables)
         self.e = len(self.variables)
         self.basis_labels = basis_labels
@@ -244,6 +242,12 @@ class ExactZeroDivisorPair:
 # -- build ---------------------------------------------------------------------
 
 
+def check_characteristic(p: int) -> None:
+    """Raise ValidationError unless p is prime."""
+    if p < 2 or any(p % d == 0 for d in range(2, int(p**0.5) + 1)):
+        raise ValidationError(f"characteristic must be prime, got {p}")
+
+
 def _deg2_monomials(e: int) -> list[tuple[int, int]]:
     return [(i, j) for i in range(e) for j in range(i, e)]
 
@@ -254,8 +258,8 @@ def build_algebra(spec: AlgebraSpec) -> GradedLocalAlgebra:
     Raises ValidationError on: fewer than 2 variables, non-homogeneous
     relations, m^2 = 0 after reduction, or m^3 != 0 after reduction.
     """
-    field = PrimeField(spec.characteristic)
-    p = field.p
+    check_characteristic(spec.characteristic)
+    p = spec.characteristic
     e = len(spec.variables)
     if e < 2:
         raise ValidationError("need at least 2 variables")
@@ -356,7 +360,7 @@ def build_algebra(spec: AlgebraSpec) -> GradedLocalAlgebra:
             C[1 + i, 1 + j, 1 + e :] = red
     # degree 1 * degree 2, degree 2 * anything in m: zero (m^3 = 0).
 
-    A = GradedLocalAlgebra(spec, field, labels, degrees, C, mono_red_by_expo)
+    A = GradedLocalAlgebra(spec, labels, degrees, C, mono_red_by_expo)
     _validate_table(A)
     return A
 

@@ -19,12 +19,12 @@ from .algebra import (
     GradedLocalAlgebra,
     RingElement,
     build_algebra,
+    check_characteristic,
     exact_zero_divisor_partner,
     ideal_span,
     is_exact_zero_divisor,
 )
 from .errors import ValidationError
-from .field import FieldElement
 from .modmat import (
     CokernelSpace,
     PresentationMatrix,
@@ -67,13 +67,9 @@ class ExtSpace:
     def lift(self, w) -> PresentationMatrix:
         """Ring-matrix lift F_1 -> F_0(M) of a coordinate vector."""
         A = self.M.algebra
-        q = self.cok.length
-        cols = self.N.cols
-        ent = np.zeros((self.M.rows, cols, A.dim), dtype=np.int64)
-        for j in range(cols):
-            amb = self.cok.section(np.asarray(w)[j * q:(j + 1) * q])
-            ent[:, j, :] = amb.reshape(self.M.rows, A.dim)
-        return PresentationMatrix(A, ent)
+        amb = self.cok.section(np.reshape(w, (self.N.cols, self.cok.length)))
+        return PresentationMatrix(A, np.ascontiguousarray(
+            amb.reshape(self.N.cols, self.M.rows, A.dim).swapaxes(0, 1)))
 
     def is_cocycle(self, w) -> bool:
         return not (self._H2 @ (np.asarray(w) % self.M.algebra.p) % self.M.algebra.p).any()
@@ -87,10 +83,10 @@ class ExtSpace:
         if isinstance(lift, RingElement):
             ent = lift.coeffs.reshape(1, 1, A.dim)
             lift = PresentationMatrix(A, ent.copy())
-        q = self.cok.length
-        w = np.zeros(self.N.cols * q, dtype=np.int64)
-        for j in range(self.N.cols):
-            w[j * q:(j + 1) * q] = self.cok.project(lift.entries[:, j, :].reshape(-1))
+        n = self.N.cols
+        # column j of the lift, as one vector of R^rows per column
+        cols = lift.entries[:, :n].transpose(0, 2, 1).reshape(lift.rows * A.dim, n)
+        w = self.cok.project(cols).T.reshape(-1)
         if not self.is_cocycle(w):
             raise ValidationError("extension class is not a cocycle")
         return ExtensionClass(space=self, coords=w, lifted=lift)
@@ -135,18 +131,15 @@ def ext1(N: PresentationMatrix, M: PresentationMatrix) -> ExtSpace:
                     cok=cok, _H1=H1, _H2=H2)
 
 
-def ext1_rank_formula(b: FieldElement, c: FieldElement,
-                      d: FieldElement, f: FieldElement) -> int:
-    """Closed form for rank Ext^1(S/(x+dy+fz), S/(x+by+cz)), char != 2."""
-    p = b.field.p
-    for other in (c, d, f):
-        if other.field.p != p:
-            raise ValidationError("mixed characteristics")
+def ext1_rank_formula(p: int, b: int, c: int, d: int, f: int) -> int:
+    """Closed form for rank Ext^1(S/(x+dy+fz), S/(x+by+cz)) over F_p, p != 2."""
+    check_characteristic(p)
     if p == 2:
         raise ValidationError("formula requires char != 2")
+    b, c, d, f = (v % p for v in (b, c, d, f))
     if not (b or c or d or f):
         return 3
-    if (b == d and c == f) or (b == -d and c == -f):
+    if (b == d and c == f) or ((b + d) % p == 0 and (c + f) % p == 0):
         return 2
     return 1
 

@@ -159,13 +159,14 @@ class Subspace:
         return not self.reduce(v).any()
 
     def reduce(self, v) -> np.ndarray:
-        """Residual of v after reduction against the basis.
+        """Residual of v, or of each row of a stack v, after reduction
+        against the basis.
 
         Each basis row is 1 at its own pivot and 0 at the others, so the
         coefficient of row i is v's entry at pivot i.
         """
-        v = np.asarray(v, dtype=np.int64).reshape(-1)
-        return (v - v[self.pivots] @ self.basis) % self.p
+        v = np.asarray(v, dtype=np.int64)
+        return (v - v[..., self.pivots] @ self.basis) % self.p
 
     def add(self, v) -> bool:
         """Grow the subspace by v.  Returns True if the dimension grew."""

@@ -88,13 +88,7 @@ class PresentationMatrix:
 
     @property
     def is_upper_triangular(self) -> bool:
-        if not self.is_square:
-            return False
-        for i in range(self.rows):
-            for j in range(i):
-                if self.entries[i, j].any():
-                    return False
-        return True
+        return self.is_square and not self.entries[np.tril_indices(self.rows, -1)].any()
 
     def entry(self, i, j) -> RingElement:
         return RingElement(self.algebra, self.entries[i, j].copy())
@@ -157,26 +151,13 @@ def ring_identity(A: GradedLocalAlgebra, n: int) -> np.ndarray:
 
 
 def linearize(M: PresentationMatrix) -> np.ndarray:
-    """k-linear map R^c -> R^r of M, as an (r*dim) x (c*dim) matrix."""
+    """k-linear map R^c -> R^r of M, as an (r*dim) x (c*dim) matrix.
+
+    Block (i, j) is the multiplication operator of entry (i, j).
+    """
     A = M.algebra
-    d = A.dim
-    out = np.zeros((M.rows * d, M.cols * d), dtype=np.int64)
-    for i in range(M.rows):
-        for j in range(M.cols):
-            if M.entries[i, j].any():
-                out[i * d : (i + 1) * d, j * d : (j + 1) * d] = A.mult_op(
-                    M.entries[i, j]
-                )
-    return out
-
-
-def module_mult_op(A: GradedLocalAlgebra, a_coeffs, copies: int) -> np.ndarray:
-    """Multiplication by a ring element on R^copies, linearized."""
-    op = A.mult_op(a_coeffs)
-    out = np.zeros((copies * A.dim, copies * A.dim), dtype=np.int64)
-    for t in range(copies):
-        out[t * A.dim : (t + 1) * A.dim, t * A.dim : (t + 1) * A.dim] = op
-    return out
+    lin = np.einsum("ijs,skl->ikjl", M.entries, A._mult_ops) % A.p
+    return lin.reshape(M.rows * A.dim, M.cols * A.dim)
 
 
 # -- cokernel structure --------------------------------------------------------
@@ -194,8 +175,12 @@ def coker_length(M: PresentationMatrix) -> int:
 class CokernelSpace:
     """Concrete model of coker M as a complement of im(lin M) in F_p^{r*dim}.
 
-    Provides projection, section, and the induced multiplication action,
-    so Hom and Ext computations reduce to plain matrices.
+    The complement is spanned by the unit vectors at `coords`, the
+    non-pivot coordinates of the RREF of im(lin M).  `project` maps a
+    vector, or each column of a matrix, to its coset's coordinates,
+    `section` maps coordinates (one vector, or one per row) back to that
+    representative, and `mult_op` gives the induced multiplication, so
+    Hom and Ext computations reduce to plain matrices.
     """
 
     def __init__(self, M: PresentationMatrix):
@@ -203,34 +188,33 @@ class CokernelSpace:
         A = M.algebra
         self.p = A.p
         self.ambient = M.rows * A.dim
-        lin = linearize(M) if M.cols else np.zeros((self.ambient, 0), dtype=np.int64)
-        self.image = linalg.Subspace(self.ambient, A.p, lin.T)
+        self.image = linalg.Subspace(self.ambient, A.p, linearize(M).T)
         piv = set(self.image.pivots)
         self.coords = [i for i in range(self.ambient) if i not in piv]
         self.length = len(self.coords)
 
     def project(self, v) -> np.ndarray:
-        """Coordinates of v + im(M) on the complement basis."""
-        r = self.image.reduce(v)
-        return r[self.coords]
-
-    def project_matrix(self, V) -> np.ndarray:
-        """Project the columns of V."""
-        return np.stack([self.project(V[:, j]) for j in range(V.shape[1])], axis=1) \
-            if V.shape[1] else np.zeros((self.length, 0), dtype=np.int64)
+        """Coordinates of v + im(M) on the complement basis; for a matrix,
+        of each of its columns."""
+        return self.image.reduce(np.asarray(v).T)[..., self.coords].T
 
     def section(self, w) -> np.ndarray:
-        """A representative in F_p^{r*dim} of the coset with coordinates w."""
-        v = np.zeros(self.ambient, dtype=np.int64)
-        v[self.coords] = np.asarray(w, dtype=np.int64) % self.p
+        """A representative in F_p^{r*dim} of the coset with coordinates w
+        (of each row's coset, for a stack of rows)."""
+        w = np.asarray(w, dtype=np.int64)
+        v = np.zeros(w.shape[:-1] + (self.ambient,), dtype=np.int64)
+        v[..., self.coords] = w % self.p
         return v
 
     def mult_op(self, a_coeffs) -> np.ndarray:
-        """Induced multiplication by a ring element, as length x length."""
+        """Induced multiplication by a ring element, as length x length.
+
+        Column w is the projection of the multiplied section of basis
+        vector w, i.e. of column coords[w] of the operator on R^r.
+        """
         A = self.M.algebra
-        big = module_mult_op(A, a_coeffs, self.M.rows)
-        cols = [self.project(big @ self.section(w) % self.p) for w in np.eye(self.length, dtype=np.int64)]
-        return np.stack(cols, axis=1) if self.length else np.zeros((0, 0), dtype=np.int64)
+        big = np.kron(np.eye(self.M.rows, dtype=np.int64), A.mult_op(a_coeffs))
+        return self.project(big[:, self.coords])
 
 
 # -- minimization and syzygies -------------------------------------------------
@@ -350,11 +334,11 @@ def syzygy(M: PresentationMatrix) -> PresentationMatrix:
         return PresentationMatrix.zeros(A, 0, 0)
     N = linalg.nullspace(linearize(M), A.p)  # (c*d, k) columns
     # Generators: the columns of N independent of m*ker and of the columns
-    # before them, i.e. the pivot columns of [m*N | N] past the m*N block.
-    mN = [module_mult_op(A, np.eye(A.dim, dtype=np.int64)[i], c) @ N
-          for i in A.maximal_ideal_indices()]
+    # before them, i.e. the pivot columns of [m*N | N] past the m*N block,
+    # whose column (i, t) is basis element i of m times kernel vector t.
+    mN = np.einsum("iab,jbt->jait", A._mult_ops[1:], N.reshape(c, d, -1)).reshape(c * d, -1)
     keep = linalg.independent_columns(
-        np.concatenate(mN + [N], axis=1), A.p, skip=len(mN) * N.shape[1])
+        np.concatenate([mN, N], axis=1), A.p, skip=mN.shape[1])
     gens = []
     for t in keep:
         v = N[:, t]
@@ -460,11 +444,10 @@ def has_m2_column(M: PresentationMatrix) -> bool:
     r, c = M.rows, M.cols
     if c == 0 or r == 0:
         return False
-    lin = linearize(M)
-    V = linalg.Subspace(r * d, A.p, lin.T)
-    mV = linalg.Subspace(r * d, A.p, np.concatenate([
-        V.basis @ module_mult_op(A, np.eye(A.dim, dtype=np.int64)[i], r).T
-        for i in A.maximal_ideal_indices()]))
+    V = linalg.Subspace(r * d, A.p, linearize(M).T)
+    # row (i, t): basis element i of m times basis vector t of V
+    mV = linalg.Subspace(r * d, A.p, np.einsum(
+        "iab,tjb->itja", A._mult_ops[1:], V.basis.reshape(-1, r, d)).reshape(-1, r * d))
     # V ∩ m^2 R^r: solutions of (combination of V-basis) vanishing on
     # all coordinates outside the m^2 block of each copy of R.
     non_m2 = [t * d + i for t in range(r) for i in range(1 + A.e)]
@@ -472,11 +455,7 @@ def has_m2_column(M: PresentationMatrix) -> bool:
     if B.shape[1] == 0:
         return False
     K = linalg.nullspace(B[non_m2, :], A.p)
-    for t in range(K.shape[1]):
-        vec = B @ K[:, t] % A.p
-        if vec.any() and not mV.contains(vec):
-            return True
-    return False
+    return bool(mV.reduce((B @ K % A.p).T).any())
 
 
 # -- equivalence ---------------------------------------------------------------
@@ -606,18 +585,11 @@ def is_equivalent(
     for P0 in GLr:
         # Solve P0 * A1 * Q0 = B1 for the scalar matrix Q0 (linear system).
         lhs = np.einsum("il,lje->ije", P0, A1) % p  # (r, c, e)
-        # unknowns Q0[l, j]: coefficient of Q0[l, j] in equation (i, j', e)
+        # unknowns Q0[l, j']: coefficient of Q0[l, j'] in equation (i, j, e)
         # is lhs[i, l, e] * delta_{j j'}
-        sys_rows = r * c * alg.e
-        Asys = np.zeros((sys_rows, c * c), dtype=np.int64)
+        Asys = np.einsum("ilf,jk->ijflk", lhs, np.eye(c, dtype=np.int64)).reshape(
+            r * c * alg.e, c * c)
         bsys = B1.reshape(-1)
-        idx = 0
-        for i in range(r):
-            for j in range(c):
-                for f in range(alg.e):
-                    for l in range(c):
-                        Asys[idx, l * c + j] = lhs[i, l, f]
-                    idx += 1
         part = linalg.solve(Asys, bsys, p)
         if part is None:
             continue
@@ -691,54 +663,25 @@ def endomorphism_space(M: PresentationMatrix):
     r, c = M.rows, M.cols
     # Unknowns: phi0 (r*r*d) and phi1 (c*c*d), equations phi0*M - M*phi1 = 0
     # as ring matrices, i.e. r*c*d scalar equations.
-    n0 = r * r * d
-    n1 = c * c * d
     C = A.mult_table
-    # phi0*M: (phi0*M)[i,j] = sum_l phi0[i,l] * M[l,j]
-    sys = np.zeros((r * c * d, n0 + n1), dtype=np.int64)
-    Ment = M.entries
-    for i in range(r):
-        for j in range(c):
-            for l in range(r):
-                # d(phi0*M)[i,j,f] / d phi0[i,l,dd] = C[dd, :, f] . M[l, j, :]
-                block = np.einsum("def,e->df", C, Ment[l, j]) % p  # (d, d->f)
-                sys[(i * c + j) * d : (i * c + j + 1) * d, (i * r + l) * d : (i * r + l + 1) * d] = block.T
-            for l in range(c):
-                block = np.einsum("def,d->ef", C, Ment[i, l]) % p
-                sys[(i * c + j) * d : (i * c + j + 1) * d, n0 + (l * c + j) * d : n0 + (l * c + j + 1) * d] = (
-                    -block.T
-                ) % p
+    # Equation (i, j, f) is coordinate f of (phi0*M - M*phi1)[i, j]:
+    # d/d phi0[i, l, dd] = sum_e C[dd, e, f] M[l, j, e] and
+    # d/d phi1[l, j, e] = -sum_dd C[dd, e, f] M[i, l, dd].
+    sys0 = np.einsum("ab,def,lje->ajfbld", np.eye(r, dtype=np.int64), C, M.entries)
+    sys1 = np.einsum("jk,def,ild->ijflke", np.eye(c, dtype=np.int64), C, M.entries)
+    sys = np.concatenate([sys0.reshape(r * c * d, r * r * d) % p,
+                          -sys1.reshape(r * c * d, c * c * d) % p], axis=1)
     N = linalg.nullspace(sys, p)
     cok = CokernelSpace(M)
-    q = cok.length
-    ops = []
-    for t in range(N.shape[1]):
-        phi0 = N[:n0, t].reshape(r, r, d)
-        op = _coker_operator(cok, phi0)
-        ops.append(op.reshape(-1))
-    if not ops:
-        return cok, np.zeros((0, q, q), dtype=np.int64)
-    keep = linalg.independent_columns(np.stack(ops, axis=1), p)
-    basis = [ops[t].reshape(q, q) for t in keep]
-    return cok, np.stack(basis) if basis else np.zeros((0, q, q), dtype=np.int64)
-
-
-def _coker_operator(cok: CokernelSpace, phi0) -> np.ndarray:
-    """Operator on the cokernel induced by the ring matrix phi0 on R^r."""
-    A = cok.M.algebra
-    d = A.dim
-    r = cok.M.rows
-    big = np.zeros((r * d, r * d), dtype=np.int64)
-    for i in range(r):
-        for l in range(r):
-            if phi0[i, l].any():
-                big[i * d : (i + 1) * d, l * d : (l + 1) * d] = A.mult_op(phi0[i, l])
-    cols = [cok.project(big @ cok.section(w) % A.p) for w in np.eye(cok.length, dtype=np.int64)]
-    return (
-        np.stack(cols, axis=1)
-        if cok.length
-        else np.zeros((0, 0), dtype=np.int64)
-    )
+    q, k = cok.length, N.shape[1]
+    # every phi0 linearized on R^r; the columns at cok.coords of all of
+    # them, side by side, projected in one call
+    phi0 = PresentationMatrix(A, N[: r * r * d].T.reshape(k * r, r, d))
+    big = linearize(phi0).reshape(k, r * d, r * d)[:, :, cok.coords]
+    ops = cok.project(big.transpose(1, 0, 2).reshape(r * d, k * q))
+    ops = ops.reshape(q, k, q).transpose(1, 0, 2).reshape(k, q * q)
+    keep = linalg.independent_columns(ops.T, p)
+    return cok, ops[keep].reshape(len(keep), q, q)
 
 
 def _charpoly_coeffs(Mt: np.ndarray, p: int) -> np.ndarray:
@@ -856,11 +799,9 @@ def is_indecomposable(M: PresentationMatrix, budget: int = 1 << 22):
     if n0 == 0:
         raise AssertionError("nonzero module with V = mV")
 
-    def top_action(op):
-        cols = [mV.reduce(op[:, j])[top] for j in top]
-        return np.stack(cols, axis=1) % p
-
-    act = np.stack([top_action(b % p).reshape(-1) for b in basis], axis=1) % p
+    # column (i, j) of b's action on V / mV, one column per basis element b
+    act = mV.reduce(np.swapaxes(basis[:, :, top] % p, 1, 2))[..., top]
+    act = np.swapaxes(act, 1, 2).reshape(nb, n0 * n0).T
     bar = linalg.independent_columns(act, p)
     # independent induced operators on V / mV and matching preimages in E
     bar_mats = [act[:, t].reshape(n0, n0) for t in bar]

@@ -27,6 +27,14 @@ def test_canonical_ring_build():
     assert hilbert_series(A) == (1, 3, 2)
 
 
+def test_build_rejects_non_prime_characteristic():
+    for bad in (0, 1, 4, 6, 9, 15, -3):
+        with pytest.raises(ValidationError, match=f"characteristic must be prime, got {bad}$"):
+            build_algebra(AlgebraSpec.canonical_s(bad))
+    for p in (2, 3, 5, 7, 13):
+        assert build_algebra(AlgebraSpec.canonical_s(p)).p == p
+
+
 def test_build_rejects_m2_zero():
     with pytest.raises(ValidationError):
         build_algebra(AlgebraSpec(2, ["x", "y"], ["x^2", "y^2", "x*y"]))

@@ -11,7 +11,6 @@ from trmod.ext import (
     les_rank_bound_check,
     pushout_middle,
 )
-from trmod.field import PrimeField
 from trmod.modmat import PresentationMatrix, coker_length, is_equivalent, minimize
 
 
@@ -42,36 +41,38 @@ def test_ext1_rank_examples_f3(S3):
 
 
 def test_ext1_rank_formula_examples():
-    F3 = PrimeField(3)
-    assert ext1_rank_formula(F3(0), F3(0), F3(0), F3(0)) == 3
-    F5 = PrimeField(5)
-    assert ext1_rank_formula(F5(1), F5(2), F5(-1), F5(-2)) == 2
-    assert ext1_rank_formula(F5(1), F5(0), F5(2), F5(1)) == 1
+    assert ext1_rank_formula(3, 0, 0, 0, 0) == 3
+    assert ext1_rank_formula(5, 1, 2, -1, -2) == 2
+    assert ext1_rank_formula(5, 1, 2, 4, 3) == 2
+    assert ext1_rank_formula(5, 1, 0, 2, 1) == 1
+    # arguments are residues mod p
+    assert ext1_rank_formula(3, 3, -3, 6, 0) == 3
+    assert ext1_rank_formula(3, 1, 0, 4, 3) == 2
 
 
 def test_ext1_rank_formula_rejects_char2():
-    F2 = PrimeField(2)
     with pytest.raises(ValidationError):
-        ext1_rank_formula(F2(0), F2(0), F2(0), F2(0))
+        ext1_rank_formula(2, 0, 0, 0, 0)
+    for bad in (0, 1, 4, 9):
+        with pytest.raises(ValidationError, match="characteristic must be prime"):
+            ext1_rank_formula(bad, 0, 0, 0, 0)
 
 
 def test_ext1_matches_formula_exhaustive_f3(S3):
-    F3 = PrimeField(3)
     for b, c, d, f in itertools.product(range(3), repeat=4):
         computed = ext1(cyc(S3, d, f), cyc(S3, b, c)).rank
-        expected = ext1_rank_formula(F3(b), F3(c), F3(d), F3(f))
+        expected = ext1_rank_formula(3, b, c, d, f)
         assert computed == expected, (b, c, d, f)
 
 
 @pytest.mark.slow
 def test_ext1_matches_formula_sample_f5():
     A = build_algebra(AlgebraSpec.canonical_s(5))
-    F5 = PrimeField(5)
     cases = [(0, 0, 0, 0), (1, 2, 1, 2), (1, 2, 4, 3), (3, 0, 2, 0),
              (4, 4, 1, 1), (2, 3, 2, 3), (0, 1, 0, 4), (1, 0, 0, 0)]
     for b, c, d, f in cases:
         computed = ext1(cyc(A, d, f), cyc(A, b, c)).rank
-        expected = ext1_rank_formula(F5(b), F5(c), F5(d), F5(f))
+        expected = ext1_rank_formula(5, b, c, d, f)
         assert computed == expected, (b, c, d, f)
 
 

@@ -214,6 +214,13 @@ def test_subspace_grown_by_add_matches_one_call(case):
     for v in V:
         assert whole.contains(v)
         assert not whole.reduce(v).any()
+    # a stack of rows reduces row by row, against any subspace
+    half = linalg.Subspace(n, p, V[: len(V) // 2])
+    for S in (half, whole, linalg.Subspace(n, p)):
+        stacked = S.reduce(V)
+        rows = [S.reduce(v) for v in V]
+        assert stacked.dtype == np.int64 and stacked.shape == V.shape
+        assert stacked.tobytes() == (np.stack(rows) if rows else V % p).tobytes()
 
 
 def test_independent_columns_is_greedy_add():

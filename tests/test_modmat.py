@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -6,7 +8,6 @@ from trmod.errors import BudgetExceededError, ValidationError
 from trmod.modmat import (
     CokernelSpace,
     PresentationMatrix,
-    _coker_operator,
     coker_length,
     column_reduce_to_lt,
     column_reduce_to_ut,
@@ -17,12 +18,12 @@ from trmod.modmat import (
     is_indecomposable,
     linearize,
     minimize,
-    module_mult_op,
     prune_presentation,
     ring_matmul,
     syzygy,
 )
 from trmod import linalg
+from trmod.ext import ext1
 
 
 @pytest.fixture(scope="module")
@@ -134,6 +135,17 @@ def test_is_equivalent_witness_validity(S3):
     moved = PresentationMatrix(S3, ring_matmul(S3, ring_matmul(S3, P, m1.entries), Q))
     w = is_equivalent(m1, moved)
     assert w is not None and w.verify(m1, moved)
+    # rectangular: 1 x 2 and 2 x 3, so the Q0 system is not square in r, c
+    for rows, P, Q in (
+        ([["x", "y + x*z"]], [["2"]], [["1", "x"], ["1", "2"]]),
+        ([["x", "y", "0"], ["z", "x", "x*y"]], [["1", "y"], ["1", "2"]],
+         [["1", "0", "z"], ["0", "2", "0"], ["x", "1", "1"]]),
+    ):
+        m = M(S3, rows)
+        moved = PresentationMatrix(S3, ring_matmul(
+            S3, ring_matmul(S3, M(S3, P).entries, m.entries), M(S3, Q).entries))
+        w = is_equivalent(m, moved)
+        assert w is not None and w.verify(m, moved)
 
 
 def test_is_equivalent_symmetric_transitive(S2):
@@ -185,6 +197,13 @@ def test_prune_presentation(S2):
 
 
 def test_column_reduce_to_ut(S2):
+    assert M(S2, [["x", "z"], ["0", "x + y"]]).is_upper_triangular
+    assert M(S2, [["x"]]).is_upper_triangular
+    assert PresentationMatrix.zeros(S2, 0, 0).is_upper_triangular
+    assert not M(S2, [["x", "z"], ["x*y", "x"]]).is_upper_triangular  # m^2 below
+    assert not M(S2, [["x", "0", "y"], ["0", "x", "0"], ["z", "0", "x"]]).is_upper_triangular
+    assert M(S2, [["x", "y", "z"], ["0", "x", "y"], ["0", "0", "0"]]).is_upper_triangular
+    assert not M(S2, [["x", "y"]]).is_upper_triangular  # not square
     ut = M(S2, [["x", "z"], ["0", "x + y"]])
     w = syzygy(ut)
     red = column_reduce_to_ut(w)
@@ -198,10 +217,73 @@ def test_column_reduce_to_ut(S2):
     assert lt.transpose().is_upper_triangular
 
 
-# -- one RREF in place of a loop of Subspace.add -------------------------------
+# -- references: the loops that one RREF, one einsum and whole-matrix
+# projection replace ------------------------------------------------------------
 #
-# References: syzygy, has_m2_column and endomorphism_space with their spans
-# built one Subspace.add at a time, the greedy loops one RREF replaces.
+# syzygy, has_m2_column and endomorphism_space with their spans built one
+# Subspace.add at a time; linearize one multiplication block per entry;
+# multiplication on R^copies block by block; cokernel operators, classes
+# and lifts projected or sectioned one column at a time.
+
+
+def _loop_linearize(M):
+    A = M.algebra
+    d = A.dim
+    out = np.zeros((M.rows * d, M.cols * d), dtype=np.int64)
+    for i in range(M.rows):
+        for j in range(M.cols):
+            if M.entries[i, j].any():
+                out[i * d:(i + 1) * d, j * d:(j + 1) * d] = A.mult_op(M.entries[i, j])
+    return out
+
+
+def module_mult_op(A, a_coeffs, copies):
+    """Multiplication by a ring element on R^copies, linearized."""
+    op = A.mult_op(a_coeffs)
+    out = np.zeros((copies * A.dim, copies * A.dim), dtype=np.int64)
+    for t in range(copies):
+        out[t * A.dim:(t + 1) * A.dim, t * A.dim:(t + 1) * A.dim] = op
+    return out
+
+
+def _loop_project(cok, V):
+    cols = [cok.image.reduce(V[:, j])[cok.coords] for j in range(V.shape[1])]
+    return np.stack(cols, axis=1) if cols else np.zeros((cok.length, 0), dtype=np.int64)
+
+
+def _loop_cokernel_mult_op(cok, a_coeffs):
+    big = module_mult_op(cok.M.algebra, a_coeffs, cok.M.rows)
+    cols = [cok.project(big @ cok.section(w) % cok.p) for w in np.eye(cok.length, dtype=np.int64)]
+    return np.stack(cols, axis=1) if cok.length else np.zeros((0, 0), dtype=np.int64)
+
+
+def _coker_operator(cok, phi0):
+    """Operator on the cokernel induced by the ring matrix phi0 on R^r."""
+    A = cok.M.algebra
+    d, r = A.dim, cok.M.rows
+    big = np.zeros((r * d, r * d), dtype=np.int64)
+    for i in range(r):
+        for l in range(r):
+            if phi0[i, l].any():
+                big[i * d:(i + 1) * d, l * d:(l + 1) * d] = A.mult_op(phi0[i, l])
+    cols = [cok.project(big @ cok.section(w) % A.p) for w in np.eye(cok.length, dtype=np.int64)]
+    return np.stack(cols, axis=1) if cok.length else np.zeros((0, 0), dtype=np.int64)
+
+
+def _loop_lift(ext, w):
+    A, q = ext.M.algebra, ext.cok.length
+    ent = np.zeros((ext.M.rows, ext.N.cols, A.dim), dtype=np.int64)
+    for j in range(ext.N.cols):
+        ent[:, j, :] = ext.cok.section(np.asarray(w)[j * q:(j + 1) * q]).reshape(ext.M.rows, A.dim)
+    return ent
+
+
+def _loop_class_coords(ext, lift):
+    q = ext.cok.length
+    w = np.zeros(ext.N.cols * q, dtype=np.int64)
+    for j in range(ext.N.cols):
+        w[j * q:(j + 1) * q] = ext.cok.project(lift.entries[:, j, :].reshape(-1))
+    return w
 
 
 def _greedy_syzygy(M):
@@ -271,28 +353,91 @@ def _greedy_endomorphism_basis(M):
     return np.stack(basis) if basis else np.zeros((0, q, q), dtype=np.int64)
 
 
-@pytest.mark.parametrize("p, seed", [(2, 11), (3, 12), (5, 13)])
-def test_one_rref_span_building_matches_greedy_add(p, seed):
+def _same(got, ref):
+    return got.shape == ref.shape and got.dtype == ref.dtype and got.tobytes() == ref.tobytes()
+
+
+def _cases(p, seed):
+    """Seeded minimal presentations over S:p, each followed by its first
+    syzygy; shapes include r = 1 and c = 0."""
     A = build_algebra(AlgebraSpec.canonical_s(p))
     rng = np.random.default_rng(seed)
-    shapes = [(1, 1), (1, 2), (2, 1), (2, 2), (2, 3), (3, 2)]
-    for k in range(24):
+    shapes = [(1, 1), (1, 2), (2, 1), (2, 2), (2, 3), (3, 2), (1, 0), (2, 0)]
+    for k in range(32):
         r, c = shapes[k % len(shapes)]
         ent = rng.integers(0, p, size=(r, c, A.dim))
         ent[:, :, 0] = 0  # minimal
         if k % 3 == 0:
             ent[:, :, 1 + A.e:] = 0  # linear entries: larger syzygies
         mat = PresentationMatrix(A, ent)
-        for _ in range(2):  # the matrix and its first syzygy
-            if mat.cols == 0 or not mat.is_minimal:  # zero columns: unit syzygies
-                break
-            syz = syzygy(mat)
-            ref = _greedy_syzygy(mat)
-            assert syz.entries.shape == ref.entries.shape
-            assert syz.entries.tobytes() == ref.entries.tobytes()
-            assert has_m2_column(mat) == _greedy_has_m2_column(mat)
-            if mat.rows <= 2:
-                _, basis = endomorphism_space(mat)
-                assert basis.tobytes() == _greedy_endomorphism_basis(mat).tobytes()
-                assert basis.shape == _greedy_endomorphism_basis(mat).shape
-            mat = syz
+        yield mat
+        if mat.cols:
+            yield syzygy(mat)
+
+
+def _verdicts_and_witnesses(p, seed):
+    """sha256 of is_indecomposable's verdicts and idempotents, and of
+    is_equivalent's witnesses for each case against a seeded P*M*Q, over
+    the cases with at most two rows (and two columns, for is_equivalent)."""
+    rng = np.random.default_rng(seed + 1000)
+    h = hashlib.sha256()
+    for mat in _cases(p, seed):
+        if mat.rows > 2 or not mat.is_minimal:
+            continue
+        A = mat.algebra
+        indec, idem = is_indecomposable(mat)
+        h.update(bytes([indec]) + (b"" if idem is None else idem.tobytes()))
+        if mat.cols > 2:
+            continue
+        P, Q = (rng.integers(0, p, size=(n, n, A.dim)) for n in (mat.rows, mat.cols))
+        while not (linalg.det_nonzero(P[:, :, 0], p) and linalg.det_nonzero(Q[:, :, 0], p)):
+            P[:, :, 0] = rng.integers(0, p, size=(mat.rows, mat.rows))
+            Q[:, :, 0] = rng.integers(0, p, size=(mat.cols, mat.cols))
+        moved = PresentationMatrix(A, ring_matmul(A, ring_matmul(A, P, mat.entries), Q))
+        w = is_equivalent(mat, moved)
+        assert w is not None and w.verify(mat, moved)
+        h.update(w.P.tobytes() + w.Q.tobytes())
+    return h.hexdigest()
+
+
+# The digests that is_indecomposable with its per-column top action and
+# is_equivalent with its index-loop Q0 system gave on these cases.
+_PINNED = {
+    2: "293a78bbc3b1af408f127a2f9fce2839dbb557a91fc60cb55ce4a0b8d1b96372",
+    3: "fe8b971d557326dad99e4ff5ed84535308bb0b898a4cd1b41c72a065267d3371",
+    5: "c48cb7d758ac1db978e36d8f0a747470bd1d69987c19856642684e238cf2c38f",
+}
+
+
+@pytest.mark.parametrize("p, seed", [(2, 11), (3, 12), (5, 13)])
+def test_one_rref_span_building_matches_greedy_add(p, seed, monkeypatch):
+    aux = np.random.default_rng(seed + 2000)
+    for mat in _cases(p, seed):
+        A = mat.algebra
+        assert _same(linearize(mat), _loop_linearize(mat))
+        cok = CokernelSpace(mat)
+        elements = list(np.eye(A.dim, dtype=np.int64)) + [aux.integers(0, p, size=A.dim)]
+        for a in elements:
+            assert _same(cok.mult_op(a), _loop_cokernel_mult_op(cok, a))
+        for k in (0, 1, 4):
+            V = aux.integers(-p, 2 * p, size=(cok.ambient, k))
+            assert _same(cok.project(V), _loop_project(cok, V))
+        if mat.rows <= 2:
+            _, basis = endomorphism_space(mat)
+            assert _same(basis, _greedy_endomorphism_basis(mat))
+        if not (mat.cols and mat.is_minimal):  # zero columns: unit syzygies
+            continue
+        assert _same(syzygy(mat).entries, _greedy_syzygy(mat).entries)
+        assert has_m2_column(mat) == _greedy_has_m2_column(mat)
+        if mat.rows <= 2:
+            ext = ext1(mat, mat)
+            with monkeypatch.context() as m:
+                m.setattr(CokernelSpace, "mult_op", _loop_cokernel_mult_op)
+                ref = ext1(mat, mat)
+            assert ext.rank == ref.rank == len(ext.representatives)
+            for w, w_ref in zip(ext.representatives, ref.representatives):
+                assert _same(w, w_ref)
+                lift = ext.lift(w)
+                assert _same(lift.entries, _loop_lift(ext, w))
+                assert _same(ext.class_of(lift).coords, _loop_class_coords(ext, lift))
+    assert _verdicts_and_witnesses(p, seed) == _PINNED[p]
