@@ -9,6 +9,7 @@ coordinate vectors and as ring-element lifts.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
@@ -38,18 +39,12 @@ def _hom_matrix(cok: CokernelSpace, D: PresentationMatrix) -> np.ndarray:
     """Precomposition with D as a matrix on coordinate vectors.
 
     D presents R^cols -> R^rows; the induced map sends a homomorphism
-    phi in cok^rows to psi in cok^cols with psi_j = sum_i D[i,j] phi_i.
+    phi in cok^rows to psi in cok^cols with psi_j = sum_i D[i,j] phi_i,
+    so block (j, i) is the induced multiplication by D[i, j].
     """
     q = cok.length
-    rows, cols = D.rows, D.cols
-    H = np.zeros((cols * q, rows * q), dtype=np.int64)
-    for i in range(rows):
-        for j in range(cols):
-            ent = D.entries[i, j]
-            if not ent.any():
-                continue
-            H[j * q:(j + 1) * q, i * q:(i + 1) * q] = cok.mult_op(ent)
-    return H
+    H = np.einsum("ijs,skl->jkil", D.entries, cok.action) % cok.p
+    return H.reshape(D.cols * q, D.rows * q)
 
 
 @dataclass
@@ -111,15 +106,9 @@ def ext1(N: PresentationMatrix, M: PresentationMatrix) -> ExtSpace:
         raise ValidationError("mixed algebras")
     p = M.algebra.p
     cok = CokernelSpace(M)
-    q = cok.length
     d2 = syzygy(N)
     H1 = _hom_matrix(cok, N)
     H2 = _hom_matrix(cok, d2)
-    amb = N.cols * q
-    if H1.size == 0:
-        H1 = np.zeros((amb, N.rows * q), dtype=np.int64)
-    if H2.size == 0:
-        H2 = np.zeros((d2.cols * q, amb), dtype=np.int64)
     Z = linalg.nullspace(H2, p)
     rank = Z.shape[1] - linalg.rank(H1, p)
     # pick representatives: kernel vectors extending the coboundary space
@@ -163,16 +152,10 @@ def _unit_class_span_dim(ext: ExtSpace) -> int:
     a cocycle and not a coboundary.
     """
     A = ext.M.algebra
-    p = A.p
     one = np.zeros(A.dim, dtype=np.int64)
     one[0] = 1
     w = ext.cok.project(one)
-    if not ext.is_cocycle(w):
-        return 0
-    span = linalg.Subspace(ext._H1.shape[0], p, ext._H1.T)
-    base = span.dim
-    span.add(w)
-    return span.dim - base
+    return int(ext.is_cocycle(w) and not ext.is_coboundary(w))
 
 
 def _xyz_coeffs(A: GradedLocalAlgebra, g: RingElement):
@@ -186,6 +169,14 @@ def _xyz_coeffs(A: GradedLocalAlgebra, g: RingElement):
         return None
     scale = pow(int(c1[1]), A.p - 2, A.p)
     return int(c1[2] * scale % A.p), int(c1[3] * scale % A.p)
+
+
+@functools.cache
+def _canonical_mult_table(p: int) -> np.ndarray:
+    """Multiplication table of the canonical S over F_p (read-only)."""
+    table = build_algebra(AlgebraSpec.canonical_s(p)).mult_table
+    table.flags.writeable = False
+    return table
 
 
 def gamma(N: PresentationMatrix, T1: PresentationMatrix) -> int:
@@ -202,8 +193,7 @@ def gamma(N: PresentationMatrix, T1: PresentationMatrix) -> int:
     A = N.algebra
     ext = ext1(N, T1)
     value = ext.rank - _unit_class_span_dim(ext)
-    if A.p != 2 and np.array_equal(
-            A.mult_table, build_algebra(AlgebraSpec.canonical_s(A.p)).mult_table):
+    if A.p != 2 and np.array_equal(A.mult_table, _canonical_mult_table(A.p)):
         df = _xyz_coeffs(A, u)
         bc = _xyz_coeffs(A, v)
         if df is not None and bc is not None:

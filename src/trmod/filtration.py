@@ -205,7 +205,7 @@ def find_ut_form(M: PresentationMatrix):
     e, s2 = A.e, A.s2
     A1 = M.linear_part()
     A2 = M.quadratic_part()
-    corr, _gens = correction_space(M)
+    corr = correction_space(M)
     g = corr.shape[1]
     corr = corr.reshape(n, n, s2, g)
     GL = general_linear_group(n, p)

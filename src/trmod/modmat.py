@@ -11,6 +11,7 @@ m^3 = 0 kills every higher interaction term.
 
 from __future__ import annotations
 
+import functools
 import itertools
 
 import numpy as np
@@ -177,10 +178,12 @@ class CokernelSpace:
 
     The complement is spanned by the unit vectors at `coords`, the
     non-pivot coordinates of the RREF of im(lin M).  `project` maps a
-    vector, or each column of a matrix, to its coset's coordinates,
+    vector, or each column of a matrix, to its coset's coordinates, and
     `section` maps coordinates (one vector, or one per row) back to that
-    representative, and `mult_op` gives the induced multiplication, so
-    Hom and Ext computations reduce to plain matrices.
+    representative.  `action` is the (dim, length, length) tensor of the
+    induced multiplication by each basis element of R, built on first
+    use; `mult_op` contracts it with an element's coefficients, so Hom
+    and Ext computations reduce to plain matrices.
     """
 
     def __init__(self, M: PresentationMatrix):
@@ -206,15 +209,24 @@ class CokernelSpace:
         v[..., self.coords] = w % self.p
         return v
 
-    def mult_op(self, a_coeffs) -> np.ndarray:
-        """Induced multiplication by a ring element, as length x length.
+    @functools.cached_property
+    def action(self) -> np.ndarray:
+        """action[s]: induced multiplication by basis element s of R.
 
-        Column w is the projection of the multiplied section of basis
-        vector w, i.e. of column coords[w] of the operator on R^r.
+        Column w of action[s] is the projection of column coords[w] of
+        basis element s's operator on R^r; all dim operators are
+        projected in one call.
         """
         A = self.M.algebra
-        big = np.kron(np.eye(self.M.rows, dtype=np.int64), A.mult_op(a_coeffs))
-        return self.project(big[:, self.coords])
+        r, d, q = self.M.rows, A.dim, self.length
+        big = np.einsum("tu,skl->stkul", np.eye(r, dtype=np.int64), A._mult_ops)
+        cols = big.reshape(d, r * d, r * d)[:, :, self.coords]
+        ops = self.project(cols.transpose(1, 0, 2).reshape(r * d, d * q))
+        return ops.reshape(q, d, q).transpose(1, 0, 2)
+
+    def mult_op(self, a_coeffs) -> np.ndarray:
+        """Induced multiplication by a ring element, as length x length."""
+        return np.einsum("s,skl->kl", np.asarray(a_coeffs) % self.p, self.action) % self.p
 
 
 # -- minimization and syzygies -------------------------------------------------
@@ -227,37 +239,19 @@ def minimize(M: PresentationMatrix) -> PresentationMatrix:
     free is reported as an n x 0 matrix.
     """
     A = M.algebra
-    ent = M.entries.copy()
+    ent = M.entries
     while True:
-        r, c = ent.shape[0], ent.shape[1]
-        unit_pos = None
-        for i in range(r):
-            for j in range(c):
-                if ent[i, j, 0] % A.p:
-                    unit_pos = (i, j)
-                    break
-            if unit_pos:
-                break
-        if unit_pos is None:
+        units = np.argwhere(ent[:, :, 0] % A.p)
+        if not len(units):
             break
-        i, j = unit_pos
-        u = RingElement(A, ent[i, j].copy())
-        uinv = u.inverse().coeffs
-        # Clear column j below/above the pivot via row operations.
-        for i2 in range(r):
-            if i2 == i or not ent[i2, j].any():
-                continue
-            f = A.mult_vectors(ent[i2, j], uinv)
-            for j2 in range(c):
-                ent[i2, j2] = (ent[i2, j2] - A.mult_vectors(f, ent[i, j2])) % A.p
-        # Clear row i via column operations.
-        for j2 in range(c):
-            if j2 == j or not ent[i, j2].any():
-                continue
-            g = A.mult_vectors(uinv, ent[i, j2])
-            for i2 in range(r):
-                ent[i2, j2] = (ent[i2, j2] - A.mult_vectors(ent[i2, j], g)) % A.p
-        ent = np.delete(np.delete(ent, i, axis=0), j, axis=1)
+        i, j = units[0]
+        uinv = RingElement(A, ent[i, j].copy()).inverse().coeffs
+        # Row and column operations clear column j and row i; what is
+        # left is the Schur complement rest - col * u^-1 * row.
+        col = ring_matmul(A, np.delete(ent[:, [j]], i, axis=0), uinv.reshape(1, 1, -1))
+        row = np.delete(ent[[i]], j, axis=1)
+        rest = np.delete(np.delete(ent, i, axis=0), j, axis=1)
+        ent = (rest - ring_matmul(A, col, row)) % A.p
     # Zero columns impose no relation; a free cokernel shows as r x 0.
     if ent.shape[1]:
         nonzero = [j for j in range(ent.shape[1]) if ent[:, j].any()]
@@ -275,7 +269,7 @@ def prune_presentation(M: PresentationMatrix):
     """
     A = M.algebra
     p = A.p
-    ent = M.entries.copy()
+    ent = M.entries
     free_rank = 0
     changed = True
     while changed:
@@ -290,30 +284,12 @@ def prune_presentation(M: PresentationMatrix):
             continue
         if c == 0:
             break
-        lin = linearize(PresentationMatrix(A, ent))
-        ker = linalg.nullspace(lin, p)
-        drop = None
-        for col in ker.T:
-            units = [j for j in range(c) if col[j * A.dim] % p]
-            if units:
-                j = units[0]
-                # sum_i k_i col_i = 0 with k_j a unit, so adding
-                # k_j^{-1} k_i col_i for i != j clears column j
-                kj = RingElement(A, col[j * A.dim:(j + 1) * A.dim].copy())
-                kj_inv = kj.inverse().coeffs
-                for i in range(c):
-                    if i == j:
-                        continue
-                    ki = col[i * A.dim:(i + 1) * A.dim]
-                    if not ki.any():
-                        continue
-                    coef = A.mult_vectors(kj_inv, ki)
-                    for row in range(ent.shape[0]):
-                        ent[row, j] = (ent[row, j] + A.mult_vectors(coef, ent[row, i])) % p
-                drop = j
-                break
-        if drop is not None:
-            ent = np.delete(ent, drop, axis=1)
+        ker = linalg.nullspace(linearize(PresentationMatrix(A, ent)), p)
+        # units[j, t]: constant coefficient of column j in kernel vector t
+        units = ker[::A.dim] % p
+        hits = np.flatnonzero(units.any(axis=0))
+        if hits.size:
+            ent = np.delete(ent, np.flatnonzero(units[:, hits[0]])[0], axis=1)
             changed = True
     return PresentationMatrix(A, np.ascontiguousarray(ent)), free_rank
 
@@ -339,17 +315,11 @@ def syzygy(M: PresentationMatrix) -> PresentationMatrix:
     mN = np.einsum("iab,jbt->jait", A._mult_ops[1:], N.reshape(c, d, -1)).reshape(c * d, -1)
     keep = linalg.independent_columns(
         np.concatenate([mN, N], axis=1), A.p, skip=mN.shape[1])
-    gens = []
-    for t in keep:
-        v = N[:, t]
-        lead = int(v[np.nonzero(v)[0][0]])
-        if lead != 1:
-            v = v * pow(lead, A.p - 2, A.p) % A.p
-        gens.append(v)
-    W = np.zeros((c, len(gens), d), dtype=np.int64)
-    for g, v in enumerate(gens):
-        W[:, g, :] = v.reshape(c, d)
-    return PresentationMatrix(A, W)
+    V = N[:, keep]
+    # scale each generator so its first nonzero coordinate is 1
+    lead = V[(V != 0).argmax(axis=0), range(len(keep))]
+    V = V * np.array([pow(int(a), A.p - 2, A.p) for a in lead], dtype=np.int64) % A.p
+    return PresentationMatrix(A, V.reshape(c, d, len(keep)).transpose(0, 2, 1))
 
 
 def divide(A: GradedLocalAlgebra, w, by):
@@ -395,20 +365,14 @@ def column_reduce_to_ut(M: PresentationMatrix):
             continue
         if pivot != i:
             ent[:, [pivot, i]] = ent[:, [i, pivot]]
+        # column j2 < i minus the pivot column times r_j2, where
+        # r_j2 * ent[i, i] = ent[i, j2]
+        quot = np.zeros((1, i, A.dim), dtype=np.int64)
         for j2 in range(i):
-            if not ent[i, j2].any():
-                continue
-            r = divide(A, ent[i, j2], ent[i, i])
-            ent[:, j2] = _col_sub(A, ent[:, j2], ent[:, i], r)
+            if ent[i, j2].any():
+                quot[0, j2] = divide(A, ent[i, j2], ent[i, i])
+        ent[:, :i] = (ent[:, :i] - ring_matmul(A, ent[:, [i]], quot)) % A.p
     return PresentationMatrix(A, ent)
-
-
-def _col_sub(A, col, pivot_col, r):
-    """col - r * pivot_col, entrywise ring multiplication by r."""
-    out = col.copy()
-    for k in range(col.shape[0]):
-        out[k] = (col[k] - A.mult_vectors(r, pivot_col[k])) % A.p
-    return out
 
 
 def column_reduce_to_lt(M: PresentationMatrix):
@@ -495,56 +459,38 @@ def general_linear_group(n: int, p: int) -> np.ndarray:
     return _GL_CACHE[key]
 
 
-def correction_space(M: PresentationMatrix):
+def correction_space(M: PresentationMatrix) -> np.ndarray:
     """Span of {A*M1 + M1*B} with A, B degree-1 scalar-shape matrices.
 
-    Returns an (r*c*s2, n_gen) matrix whose columns are the degree-2
-    coefficient vectors of the generators, plus the generator bookkeeping
-    needed to rebuild (A, B) from solution coefficients.
+    Returns an (r*c*s2, r*r*e + c*c*e) matrix whose columns are the
+    degree-2 coefficient vectors of the generators: first A = E_il * x_m
+    acting on the left, in (i, l, m) order, then B = E_lj * x_m acting
+    on the right, in (l, j, m) order.
     """
     A = M.algebra
     r, c = M.rows, M.cols
     e, s2 = A.e, A.s2
     M1 = M.linear_part()  # (r, c, e)
-    # products of degree-1 basis elements, in m^2 coordinates
-    deg1_prod = np.zeros((e, e, s2), dtype=np.int64)
-    for i in range(e):
-        for j in range(e):
-            deg1_prod[i, j] = A.mult_table[1 + i, 1 + j, 1 + e :]
-    cols = []
-    gens = []
-    for i in range(r):
-        for l in range(r):
-            for m in range(e):
-                # A = E_il * x_m acting on the left: (A*M1)[i, j] = x_m * M1[l, j]
-                block = np.zeros((r, c, s2), dtype=np.int64)
-                block[i] = np.einsum("jf,fs->js", M1[l], deg1_prod[m]) % A.p
-                cols.append(block.reshape(-1))
-                gens.append(("L", i, l, m))
-    for l in range(c):
-        for j in range(c):
-            for m in range(e):
-                # B = E_lj * x_m acting on the right: (M1*B)[i, j] = M1[i, l] * x_m
-                block = np.zeros((r, c, s2), dtype=np.int64)
-                block[:, j, :] = np.einsum("if,fs->is", M1[:, l, :], deg1_prod[m]) % A.p
-                cols.append(block.reshape(-1))
-                gens.append(("R", l, j, m))
-    return np.stack(cols, axis=1), gens
+    # products x_m * x_f of degree-1 basis elements, in m^2 coordinates
+    deg1_prod = A.mult_table[1:1 + e, 1:1 + e, 1 + e:]
+    # (A*M1)[a, j] = x_m * M1[l, j] when a = i, and
+    # (M1*B)[i, b] = M1[i, l] * x_m when b = j
+    left = np.einsum("ai,ljf,mfs->ajsilm", np.eye(r, dtype=np.int64), M1, deg1_prod)
+    right = np.einsum("bj,ilf,mfs->ibsljm", np.eye(c, dtype=np.int64), M1, deg1_prod)
+    return np.concatenate([left.reshape(r * c * s2, r * r * e),
+                           right.reshape(r * c * s2, c * c * e)], axis=1) % A.p
 
 
-def _build_correction_matrices(M: PresentationMatrix, gens, coeffs):
-    """Rebuild degree-1 ring matrices (A, B) from correction coefficients."""
+def _build_correction_matrices(M: PresentationMatrix, coeffs):
+    """Rebuild degree-1 ring matrices (A, B) from correction coefficients,
+    read in the column layout of `correction_space`."""
     alg = M.algebra
-    r, c = M.rows, M.cols
+    r, c, e = M.rows, M.cols, alg.e
+    coeffs = np.asarray(coeffs) % alg.p
     Amat = np.zeros((r, r, alg.dim), dtype=np.int64)
     Bmat = np.zeros((c, c, alg.dim), dtype=np.int64)
-    for (kind, a, b, m), coef in zip(gens, coeffs):
-        if coef % alg.p == 0:
-            continue
-        if kind == "L":
-            Amat[a, b, 1 + m] = (Amat[a, b, 1 + m] + coef) % alg.p
-        else:
-            Bmat[a, b, 1 + m] = (Bmat[a, b, 1 + m] + coef) % alg.p
+    Amat[:, :, 1:1 + e] = coeffs[:r * r * e].reshape(r, r, e)
+    Bmat[:, :, 1:1 + e] = coeffs[r * r * e:].reshape(c, c, e)
     return Amat, Bmat
 
 
@@ -579,7 +525,7 @@ def is_equivalent(
     B1 = M2.linear_part()
     A2 = M1.quadratic_part().reshape(-1)
     B2 = M2.quadratic_part()
-    corr, gens = correction_space(M1)
+    corr = correction_space(M1)
     GLr = general_linear_group(r, p)
     checked = 0
     for P0 in GLr:
@@ -608,13 +554,13 @@ def is_equivalent(
             Q0 = q.reshape(c, c)
             if not linalg.det_nonzero(Q0, p):
                 continue
-            witness = _try_quadratic(M1, M2, P0, Q0, corr, gens, A2, B2)
+            witness = _try_quadratic(M1, M2, P0, Q0, corr, A2, B2)
             if witness is not None:
                 return witness
     return None
 
 
-def _try_quadratic(M1, M2, P0, Q0, corr, gens, A2_flat, B2):
+def _try_quadratic(M1, M2, P0, Q0, corr, A2_flat, B2):
     """Given matching linear parts, solve the quadratic membership and
     construct an exact witness."""
     alg = M1.algebra
@@ -626,7 +572,7 @@ def _try_quadratic(M1, M2, P0, Q0, corr, gens, A2_flat, B2):
     coeffs = linalg.solve(corr, rhs, p)
     if coeffs is None:
         return None
-    Amat, Bmat = _build_correction_matrices(M1, gens, coeffs)
+    Amat, Bmat = _build_correction_matrices(M1, coeffs)
     r, c = M1.rows, M1.cols
     P = ring_matmul(
         alg, scalar_to_ring_matrix(alg, P0), (ring_identity(alg, r) + Amat) % p
@@ -791,17 +737,13 @@ def is_indecomposable(M: PresentationMatrix, budget: int = 1 << 22):
     # Nilpotent ideal K = {phi : phi(V) <= mV}: phi is module-linear, so
     # phi(mV) = m phi(V) and m^3 = 0 gives phi^3 = 0.  E/K embeds in the
     # small matrix algebra End(V / mV), whose radical is computed with the
-    # characteristic-p chain and verified, then pulled back to E.
-    mV = linalg.Subspace(q, p, np.concatenate(
-        [cok.mult_op(A.gen(int(i)).coeffs).T for i in np.where(A.degrees == 1)[0]]))
-    top = [i for i in range(q) if i not in set(mV.pivots)]
+    # characteristic-p chain and verified, then pulled back to E.  M is
+    # minimal, so im(lin M) lies in m R^r: the r degree-0 coordinates are
+    # all in cok.coords, and mV is the span of the others.
+    top = [k for k, c in enumerate(cok.coords) if c % A.dim == 0]
     n0 = len(top)
-    if n0 == 0:
-        raise AssertionError("nonzero module with V = mV")
-
     # column (i, j) of b's action on V / mV, one column per basis element b
-    act = mV.reduce(np.swapaxes(basis[:, :, top] % p, 1, 2))[..., top]
-    act = np.swapaxes(act, 1, 2).reshape(nb, n0 * n0).T
+    act = (basis[:, top][:, :, top] % p).reshape(nb, n0 * n0).T
     bar = linalg.independent_columns(act, p)
     # independent induced operators on V / mV and matching preimages in E
     bar_mats = [act[:, t].reshape(n0, n0) for t in bar]

@@ -157,7 +157,7 @@ def _scan_pairs_reference(mat):
     A, p, n = mat.algebra, mat.algebra.p, mat.rows
     e, s2 = A.e, A.s2
     A1, A2 = mat.linear_part(), mat.quadratic_part()
-    corr, _ = correction_space(mat)
+    corr = correction_space(mat)
     GL = general_linear_group(n, p)
     below = [(i, j) for i in range(n) for j in range(n) if i > j]
     best = None

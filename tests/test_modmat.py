@@ -3,14 +3,18 @@ import hashlib
 import numpy as np
 import pytest
 
-from trmod.algebra import AlgebraSpec, build_algebra
+from trmod import modmat
+from trmod.algebra import AlgebraSpec, RingElement, build_algebra
 from trmod.errors import BudgetExceededError, ValidationError
 from trmod.modmat import (
     CokernelSpace,
     PresentationMatrix,
+    _build_correction_matrices,
     coker_length,
     column_reduce_to_lt,
     column_reduce_to_ut,
+    correction_space,
+    divide,
     dual,
     endomorphism_space,
     has_m2_column,
@@ -23,7 +27,7 @@ from trmod.modmat import (
     syzygy,
 )
 from trmod import linalg
-from trmod.ext import ext1
+from trmod.ext import _hom_matrix, ext1
 
 
 @pytest.fixture(scope="module")
@@ -186,6 +190,23 @@ def test_is_indecomposable(S2):
     assert is_indecomposable(M(S2, [["x", "z"], ["0", "x + y"]]))[0]
 
 
+def test_is_indecomposable_top_is_degree_zero(S2, monkeypatch):
+    # V / mV of a minimal M has one basis vector per row: the radical
+    # chain must see M.rows x M.rows matrices, not a larger top
+    sizes = []
+    radical = modmat._radical_of_matrix_algebra
+    def spy(basis, p):
+        sizes.append(basis.shape[1])
+        return radical(basis, p)
+    monkeypatch.setattr(modmat, "_radical_of_matrix_algebra", spy)
+    mat = M(S2, [["x*y + x*z", "y + z", "z"],
+                 ["0", "y + z + x*y + x*z", "y + x*y"],
+                 ["0", "0", "x*y + x*z"]])
+    indec, idem = is_indecomposable(mat)
+    assert sizes == [mat.rows]
+    assert not indec and (idem @ idem % 2 == idem).all()
+
+
 def test_prune_presentation(S2):
     mat = M(S2, [["0", "x"], ["0", "0"]])
     pruned, free = prune_presentation(mat)
@@ -223,7 +244,9 @@ def test_column_reduce_to_ut(S2):
 # syzygy, has_m2_column and endomorphism_space with their spans built one
 # Subspace.add at a time; linearize one multiplication block per entry;
 # multiplication on R^copies block by block; cokernel operators, classes
-# and lifts projected or sectioned one column at a time.
+# and lifts projected or sectioned one column at a time; Hom matrices one
+# block per entry; pivot steps cleared one entry at a time; the correction
+# space one generator at a time, with its (kind, a, b, m) bookkeeping.
 
 
 def _loop_linearize(M):
@@ -353,6 +376,179 @@ def _greedy_endomorphism_basis(M):
     return np.stack(basis) if basis else np.zeros((0, q, q), dtype=np.int64)
 
 
+def _loop_hom_matrix(cok, D):
+    q = cok.length
+    H = np.zeros((D.cols * q, D.rows * q), dtype=np.int64)
+    for i in range(D.rows):
+        for j in range(D.cols):
+            if D.entries[i, j].any():
+                H[j * q:(j + 1) * q, i * q:(i + 1) * q] = _loop_cokernel_mult_op(
+                    cok, D.entries[i, j])
+    return H
+
+
+def _greedy_ext1_reps(N, M):
+    """Ext^1 representatives from the block-loop Hom matrices, kept one
+    Subspace.add at a time."""
+    p = M.algebra.p
+    cok = CokernelSpace(M)
+    H1 = _loop_hom_matrix(cok, N)
+    Z = linalg.nullspace(_loop_hom_matrix(cok, syzygy(N)), p)
+    span = linalg.Subspace(H1.shape[0], p, H1.T)
+    return [Z[:, t].copy() for t in range(Z.shape[1]) if span.add(Z[:, t])]
+
+
+def _loop_minimize(M):
+    A = M.algebra
+    ent = M.entries.copy()
+    while True:
+        r, c = ent.shape[0], ent.shape[1]
+        unit_pos = None
+        for i in range(r):
+            for j in range(c):
+                if ent[i, j, 0] % A.p:
+                    unit_pos = (i, j)
+                    break
+            if unit_pos:
+                break
+        if unit_pos is None:
+            break
+        i, j = unit_pos
+        uinv = RingElement(A, ent[i, j].copy()).inverse().coeffs
+        for i2 in range(r):
+            if i2 == i or not ent[i2, j].any():
+                continue
+            f = A.mult_vectors(ent[i2, j], uinv)
+            for j2 in range(c):
+                ent[i2, j2] = (ent[i2, j2] - A.mult_vectors(f, ent[i, j2])) % A.p
+        for j2 in range(c):
+            if j2 == j or not ent[i, j2].any():
+                continue
+            g = A.mult_vectors(uinv, ent[i, j2])
+            for i2 in range(r):
+                ent[i2, j2] = (ent[i2, j2] - A.mult_vectors(ent[i2, j], g)) % A.p
+        ent = np.delete(np.delete(ent, i, axis=0), j, axis=1)
+    if ent.shape[1]:
+        ent = ent[:, [j for j in range(ent.shape[1]) if ent[:, j].any()], :]
+    return PresentationMatrix(A, ent)
+
+
+def _loop_prune_presentation(M):
+    A = M.algebra
+    p = A.p
+    ent = M.entries.copy()
+    free_rank = 0
+    changed = True
+    while changed:
+        changed = False
+        r, c = ent.shape[0], ent.shape[1]
+        keep_rows = [i for i in range(r) if ent[i].any()]
+        if len(keep_rows) < r:
+            free_rank += r - len(keep_rows)
+            ent = ent[keep_rows]
+            changed = True
+            continue
+        if c == 0:
+            break
+        ker = linalg.nullspace(linearize(PresentationMatrix(A, ent)), p)
+        drop = None
+        for col in ker.T:
+            units = [j for j in range(c) if col[j * A.dim] % p]
+            if units:
+                j = units[0]
+                kj_inv = RingElement(A, col[j * A.dim:(j + 1) * A.dim].copy()).inverse().coeffs
+                for i in range(c):
+                    ki = col[i * A.dim:(i + 1) * A.dim]
+                    if i == j or not ki.any():
+                        continue
+                    coef = A.mult_vectors(kj_inv, ki)
+                    for row in range(ent.shape[0]):
+                        ent[row, j] = (ent[row, j] + A.mult_vectors(coef, ent[row, i])) % p
+                drop = j
+                break
+        if drop is not None:
+            ent = np.delete(ent, drop, axis=1)
+            changed = True
+    return PresentationMatrix(A, np.ascontiguousarray(ent)), free_rank
+
+
+def _col_sub(A, col, pivot_col, r):
+    out = col.copy()
+    for k in range(col.shape[0]):
+        out[k] = (col[k] - A.mult_vectors(r, pivot_col[k])) % A.p
+    return out
+
+
+def _loop_column_reduce_to_ut(M):
+    A = M.algebra
+    n = M.rows
+    if not M.is_square:
+        return None
+    ent = M.entries.copy()
+    for i in range(n - 1, -1, -1):
+        pivot = None
+        for j in range(i, -1, -1):
+            w = ent[i, j]
+            if not w.any():
+                continue
+            if all(j2 == j or not ent[i, j2].any() or divide(A, ent[i, j2], w) is not None
+                   for j2 in range(i + 1)):
+                pivot = j
+                break
+        if pivot is None:
+            if ent[i, :i].any():
+                return None
+            continue
+        if pivot != i:
+            ent[:, [pivot, i]] = ent[:, [i, pivot]]
+        for j2 in range(i):
+            if ent[i, j2].any():
+                r = divide(A, ent[i, j2], ent[i, i])
+                ent[:, j2] = _col_sub(A, ent[:, j2], ent[:, i], r)
+    return PresentationMatrix(A, ent)
+
+
+def _loop_correction_space(M):
+    A = M.algebra
+    r, c = M.rows, M.cols
+    e, s2 = A.e, A.s2
+    M1 = M.linear_part()
+    deg1_prod = np.zeros((e, e, s2), dtype=np.int64)
+    for i in range(e):
+        for j in range(e):
+            deg1_prod[i, j] = A.mult_table[1 + i, 1 + j, 1 + e:]
+    cols, gens = [], []
+    for i in range(r):
+        for l in range(r):
+            for m in range(e):
+                block = np.zeros((r, c, s2), dtype=np.int64)
+                block[i] = np.einsum("jf,fs->js", M1[l], deg1_prod[m]) % A.p
+                cols.append(block.reshape(-1))
+                gens.append(("L", i, l, m))
+    for l in range(c):
+        for j in range(c):
+            for m in range(e):
+                block = np.zeros((r, c, s2), dtype=np.int64)
+                block[:, j, :] = np.einsum("if,fs->is", M1[:, l, :], deg1_prod[m]) % A.p
+                cols.append(block.reshape(-1))
+                gens.append(("R", l, j, m))
+    return np.stack(cols, axis=1), gens
+
+
+def _loop_build_correction_matrices(M, gens, coeffs):
+    alg = M.algebra
+    Amat = np.zeros((M.rows, M.rows, alg.dim), dtype=np.int64)
+    Bmat = np.zeros((M.cols, M.cols, alg.dim), dtype=np.int64)
+    for (kind, a, b, m), coef in zip(gens, coeffs):
+        if coef % alg.p == 0:
+            continue
+        if kind == "L":
+            Amat[a, b, 1 + m] = (Amat[a, b, 1 + m] + coef) % alg.p
+        else:
+            Bmat[a, b, 1 + m] = (Bmat[a, b, 1 + m] + coef) % alg.p
+    return Amat, Bmat
+
+
 def _same(got, ref):
     return got.shape == ref.shape and got.dtype == ref.dtype and got.tobytes() == ref.tobytes()
 
@@ -410,7 +606,7 @@ _PINNED = {
 
 
 @pytest.mark.parametrize("p, seed", [(2, 11), (3, 12), (5, 13)])
-def test_one_rref_span_building_matches_greedy_add(p, seed, monkeypatch):
+def test_one_rref_span_building_matches_greedy_add(p, seed):
     aux = np.random.default_rng(seed + 2000)
     for mat in _cases(p, seed):
         A = mat.algebra
@@ -419,6 +615,9 @@ def test_one_rref_span_building_matches_greedy_add(p, seed, monkeypatch):
         elements = list(np.eye(A.dim, dtype=np.int64)) + [aux.integers(0, p, size=A.dim)]
         for a in elements:
             assert _same(cok.mult_op(a), _loop_cokernel_mult_op(cok, a))
+        assert cok.action.shape == (A.dim, cok.length, cok.length)
+        for s, a in enumerate(elements[:A.dim]):
+            assert _same(cok.action[s], _loop_cokernel_mult_op(cok, a))
         for k in (0, 1, 4):
             V = aux.integers(-p, 2 * p, size=(cok.ambient, k))
             assert _same(cok.project(V), _loop_project(cok, V))
@@ -430,14 +629,58 @@ def test_one_rref_span_building_matches_greedy_add(p, seed, monkeypatch):
         assert _same(syzygy(mat).entries, _greedy_syzygy(mat).entries)
         assert has_m2_column(mat) == _greedy_has_m2_column(mat)
         if mat.rows <= 2:
+            for D in (mat, syzygy(mat)):
+                assert _same(_hom_matrix(cok, D), _loop_hom_matrix(cok, D))
             ext = ext1(mat, mat)
-            with monkeypatch.context() as m:
-                m.setattr(CokernelSpace, "mult_op", _loop_cokernel_mult_op)
-                ref = ext1(mat, mat)
-            assert ext.rank == ref.rank == len(ext.representatives)
-            for w, w_ref in zip(ext.representatives, ref.representatives):
+            ref = _greedy_ext1_reps(mat, mat)
+            assert ext.rank == len(ref) == len(ext.representatives)
+            for w, w_ref in zip(ext.representatives, ref):
                 assert _same(w, w_ref)
                 lift = ext.lift(w)
                 assert _same(lift.entries, _loop_lift(ext, w))
                 assert _same(ext.class_of(lift).coords, _loop_class_coords(ext, lift))
     assert _verdicts_and_witnesses(p, seed) == _PINNED[p]
+
+
+def _square_reducible(mat, rng):
+    """U * (I + L) for U the upper triangular part of a square mat and L
+    strictly lower triangular with random entries: column operations
+    bring it back to upper triangular form."""
+    A, n = mat.algebra, mat.rows
+    U = mat.entries.copy()
+    U[np.tril_indices(n, -1)] = 0
+    L = rng.integers(0, A.p, size=(n, n, A.dim))
+    L[np.triu_indices(n)] = 0
+    return PresentationMatrix(A, ring_matmul(A, U, (modmat.ring_identity(A, n) + L) % A.p))
+
+
+@pytest.mark.parametrize("p, seed", [(2, 11), (3, 12), (5, 13)])
+def test_ring_matmul_pivot_steps_match_entry_loops(p, seed):
+    rng = np.random.default_rng(seed + 3000)
+    for mat in _cases(p, seed):
+        A, (r, c) = mat.algebra, (mat.rows, mat.cols)
+        # unit constant parts: minimize pivots; an appended ring
+        # combination of the columns and a zero row: prune drops them
+        units = PresentationMatrix(A, mat.entries + rng.integers(0, p, size=(r, c, 1))
+                                   * np.eye(A.dim, dtype=np.int64)[0])
+        for X in (mat, units):
+            assert _same(minimize(X).entries, _loop_minimize(X).entries)
+        k = rng.integers(0, p, size=(c, 1, A.dim))
+        if c:
+            k[rng.integers(c), 0, 0] = 1
+        redundant = np.concatenate([ring_matmul(A, mat.entries, k), mat.entries], axis=1)
+        padded = np.concatenate([redundant, np.zeros((1, c + 1, A.dim), dtype=np.int64)])
+        for X in (mat, units, PresentationMatrix(A, padded)):
+            got, ref = prune_presentation(X), _loop_prune_presentation(X)
+            assert _same(got[0].entries, ref[0].entries) and got[1] == ref[1]
+        if mat.is_square and mat.is_minimal:
+            for X in (mat, mat.transpose(), _square_reducible(mat, rng)):
+                got, ref = column_reduce_to_ut(X), _loop_column_reduce_to_ut(X)
+                assert (got is None) == (ref is None)
+                assert got is None or _same(got.entries, ref.entries)
+        corr, (ref, gens) = correction_space(mat), _loop_correction_space(mat)
+        assert _same(corr, ref)
+        coeffs = rng.integers(0, p, size=corr.shape[1])
+        for got, want in zip(_build_correction_matrices(mat, coeffs),
+                             _loop_build_correction_matrices(mat, gens, coeffs)):
+            assert _same(got, want)
