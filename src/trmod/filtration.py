@@ -28,12 +28,14 @@ from .errors import BudgetExceededError, ValidationError
 from .modmat import (
     EquivalenceWitness,
     PresentationMatrix,
+    bilinear_table,
     coker_length,
     correction_space,
     divide,
     general_linear_group,
     is_equivalent,
     syzygy,
+    vector_numbers,
 )
 
 
@@ -211,13 +213,10 @@ def find_ut_form(M: PresentationMatrix):
     GL = general_linear_group(n, p)
     lo_i, lo_j = np.tril_indices(n, -1)
     # entry (i, j) of P0*A1*Q0 is u*A1*v for u row i of P0 and v column j
-    # of Q0; zero[u, v] says whether it vanishes, u and v numbered by
-    # their base-p digits as in vecs
-    vecs = np.array(list(itertools.product(range(p), repeat=n)))
-    zero = ~(np.einsum("ui,ije,vj->uve", vecs, A1, vecs) % p).any(axis=2)
-    digits = p ** np.arange(n - 1, -1, -1)
-    row_of = GL @ digits
-    col_of = (GL.transpose(0, 2, 1) @ digits)[:, lo_j]
+    # of Q0; zero[u, v] says whether it vanishes
+    zero = ~bilinear_table(A1, p).any(axis=2)
+    row_of = vector_numbers(GL, p)
+    col_of = vector_numbers(GL.transpose(0, 2, 1), p)[:, lo_j]
     # the nullity is at least g minus the number of equations
     enumerate_null = g - len(lo_i) * s2 <= _UT_SOLUTION_CAP
     best = None

@@ -459,6 +459,24 @@ def general_linear_group(n: int, p: int) -> np.ndarray:
     return _GL_CACHE[key]
 
 
+def vector_numbers(X: np.ndarray, p: int) -> np.ndarray:
+    """Number of each vector along the last axis of X: its base-p digits,
+    first entry most significant, as in itertools.product(range(p), ...)."""
+    return X @ (p ** np.arange(X.shape[-1] - 1, -1, -1))
+
+
+def bilinear_table(A1: np.ndarray, p: int) -> np.ndarray:
+    """W[u, v] = u*A1*v for every u in F_p^r and v in F_p^c.
+
+    A1 is an (r, c, e) linear part; u and v are numbered as in
+    `vector_numbers`.  Entry (i, j) of P0*A1*Q0 is W[row i of P0,
+    column j of Q0].  Returns a (p^r, p^c, e) array.
+    """
+    U, V = (np.array(list(itertools.product(range(p), repeat=n)))
+            for n in A1.shape[:2])
+    return np.einsum("ui,ije,vj->uve", U, A1, V) % p
+
+
 def correction_space(M: PresentationMatrix) -> np.ndarray:
     """Span of {A*M1 + M1*B} with A, B degree-1 scalar-shape matrices.
 
@@ -504,6 +522,16 @@ def is_equivalent(
     quadratic parts are compared modulo the correction space — complete
     by the graded normal form.  Raises BudgetExceededError rather than
     guessing when the scalar search is too large.
+
+    Most P0 admit no Q0 at all.  Entry (i, j) of P0*A1*Q0 is u_i*A1*v
+    for u_i row i of P0 and v column j of Q0, so P0*A1*Q0 = B1 has a
+    solution (singular or not) iff every column j has some v with
+    u_i*A1*v = B1[i, j] for all i.  One table of u*A1*v over all u, v
+    (`bilinear_table`) answers that for each P0 with one lookup, and
+    only the P0 that pass reach the linear solve.  The skipped P0 are
+    exactly those whose solve would fail, so the witness, the order in
+    which candidates are tried and the budget count are those of the
+    full scan.
     """
     if M1.algebra is not M2.algebra and M1.algebra.spec != M2.algebra.spec:
         raise ValidationError("matrices over different algebras")
@@ -527,8 +555,14 @@ def is_equivalent(
     B2 = M2.quadratic_part()
     corr = correction_space(M1)
     GLr = general_linear_group(r, p)
+    # match[u, v, i, j]: u*A1*v equals B1[i, j]
+    match = (bilinear_table(A1, p)[:, :, None, None, :] == B1).all(axis=4)
+    row_of = vector_numbers(GLr, p)
+    rows = np.arange(r)
     checked = 0
-    for P0 in GLr:
+    for a, P0 in enumerate(GLr):
+        if not match[row_of[a], :, rows, :].all(axis=0).any(axis=0).all():
+            continue
         # Solve P0 * A1 * Q0 = B1 for the scalar matrix Q0 (linear system).
         lhs = np.einsum("il,lje->ije", P0, A1) % p  # (r, c, e)
         # unknowns Q0[l, j']: coefficient of Q0[l, j'] in equation (i, j, e)

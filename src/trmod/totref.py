@@ -157,7 +157,8 @@ def check_totally_reflexive(
     betti = [n]
     for step in range(1, depth + 1):
         d_cur = ds[-1]
-        if has_m2_column(d_cur):
+        # step 1's d_cur is M, already checked above
+        if step > 1 and has_m2_column(d_cur):
             return TRCertificate(
                 verdict=REFUTED, depth=step, betti=betti,
                 witness={"kind": "k_summand", "step": step,

@@ -12,6 +12,7 @@ import itertools
 import time
 
 import numpy as np
+import pytest
 
 from trmod.algebra import (
     AlgebraSpec,
@@ -231,6 +232,7 @@ def test_criterion_07_period_two_example():
             "outside this artifact)")
 
 
+@pytest.mark.slow
 def test_criterion_08_filtration_biconditional_sweep():
     t0 = time.time()
     A = _alg(2)
@@ -271,6 +273,7 @@ def test_criterion_08_filtration_biconditional_sweep():
             "certified TR with quotient lengths exactly 3 (274 non-minimal skipped)")
 
 
+@pytest.mark.slow
 def test_criterion_09_ut_criterion_both_directions():
     t0 = time.time()
     A = _alg(2)

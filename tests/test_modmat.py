@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 
 import numpy as np
 import pytest
@@ -684,3 +685,108 @@ def test_ring_matmul_pivot_steps_match_entry_loops(p, seed):
         for got, want in zip(_build_correction_matrices(mat, coeffs),
                              _loop_build_correction_matrices(mat, gens, coeffs)):
             assert _same(got, want)
+
+
+# -- the P0 table filter of is_equivalent ---------------------------------------
+
+
+def _scan_is_equivalent(M1, M2, budget=modmat.DEFAULT_BUDGET):
+    """is_equivalent's scalar search without the u*A1*v table: one solve
+    of P0*A1*Q0 = B1 for every P0 in GL_r."""
+    alg, p = M1.algebra, M1.algebra.p
+    if M1.rows != M2.rows or M1.cols != M2.cols:
+        return None
+    r, c = M1.rows, M1.cols
+    gl_r_size = modmat._gl_order(r, p)
+    if gl_r_size > budget:
+        raise BudgetExceededError("exceeded", required=gl_r_size, budget=budget)
+    A1, B1 = M1.linear_part(), M2.linear_part()
+    A2, B2 = M1.quadratic_part().reshape(-1), M2.quadratic_part()
+    corr = correction_space(M1)
+    checked = 0
+    for P0 in modmat.general_linear_group(r, p):
+        lhs = np.einsum("il,lje->ije", P0, A1) % p
+        Asys = np.einsum("ilf,jk->ijflk", lhs, np.eye(c, dtype=np.int64)).reshape(
+            r * c * alg.e, c * c)
+        part = linalg.solve(Asys, B1.reshape(-1), p)
+        if part is None:
+            continue
+        null = linalg.nullspace(Asys, p)
+        checked += p ** null.shape[1]
+        if checked > budget:
+            raise BudgetExceededError("exceeded", required=checked, budget=budget)
+        for combo in itertools.product(range(p), repeat=null.shape[1]):
+            q = part.copy()
+            for t, cf in enumerate(combo):
+                if cf:
+                    q = (q + cf * null[:, t]) % p
+            Q0 = q.reshape(c, c)
+            if linalg.det_nonzero(Q0, p):
+                w = modmat._try_quadratic(M1, M2, P0, Q0, corr, A2, B2)
+                if w is not None:
+                    return w
+    return None
+
+
+def _outcome(M1, M2, budget=modmat.DEFAULT_BUDGET, search=is_equivalent):
+    try:
+        w = search(M1, M2, budget=budget)
+    except BudgetExceededError as exc:
+        return ("budget", exc.required)
+    return None if w is None else (w.P.tobytes(), w.Q.tobytes())
+
+
+def _filter_pairs(p, seed):
+    """Seeded pairs over S:p: P*M*Q disguises, swapped diagonals and
+    random pairs of one shape, r != c and (over S:2) 3 x 3 included."""
+    A = build_algebra(AlgebraSpec.canonical_s(p))
+    rng = np.random.default_rng(seed)
+    shapes = [(1, 1), (1, 2), (2, 1), (2, 2), (2, 3)] + ([(3, 3)] if p == 2 else [])
+    for k in range(6 * len(shapes)):
+        r, c = shapes[k % len(shapes)]
+        ent = rng.integers(0, p, size=(r, c, A.dim))
+        ent[:, :, 0] = 0
+        mat = PresentationMatrix(A, ent)
+        P, Q = (rng.integers(0, p, size=(n, n, A.dim)) for n in (r, c))
+        while not (linalg.det_nonzero(P[:, :, 0], p) and linalg.det_nonzero(Q[:, :, 0], p)):
+            P[:, :, 0] = rng.integers(0, p, size=(r, r))
+            Q[:, :, 0] = rng.integers(0, p, size=(c, c))
+        yield mat, PresentationMatrix(A, ring_matmul(A, ring_matmul(A, P, mat.entries), Q))
+        if r == c:
+            swapped = ent.copy()
+            swapped[[0, r - 1], [0, r - 1]] = ent[[r - 1, 0], [r - 1, 0]]
+            yield mat, PresentationMatrix(A, swapped)
+        other = rng.integers(0, p, size=(r, c, A.dim))
+        other[:, :, 0] = 0
+        yield mat, PresentationMatrix(A, other)
+
+
+@pytest.mark.parametrize("p, seed", [(2, 21), (3, 22), (5, 23)])
+def test_is_equivalent_filter_matches_full_scan(p, seed):
+    found = missing = budget_stops = 0
+    for M1, M2 in _filter_pairs(p, seed):
+        got = _outcome(M1, M2)
+        assert got == _outcome(M1, M2, search=_scan_is_equivalent)
+        found += got is not None
+        missing += got is None
+        gl = modmat._gl_order(M1.rows, p)
+        for budget in (gl, gl + p):
+            small = _outcome(M1, M2, budget)
+            assert small == _outcome(M1, M2, budget, _scan_is_equivalent)
+            budget_stops += small is not None and small[0] == "budget"
+    assert found and missing and budget_stops
+
+
+def test_is_equivalent_skips_unsolvable_linear_parts(S2, monkeypatch):
+    # no P0 lets any Q0, singular or not, carry one linear part to the
+    # other, so the table rejects every P0 before the linear solve
+    calls = []
+    solve = linalg.solve
+    def spy(*args):
+        calls.append(args)
+        return solve(*args)
+    monkeypatch.setattr(linalg, "solve", spy)
+    for a, b in (([["x"]], [["x + y"]]),
+                 ([["x", "z"], ["0", "x + y"]], [["x", "0"], ["0", "y"]])):
+        assert is_equivalent(M(S2, a), M(S2, b)) is None
+    assert calls == []

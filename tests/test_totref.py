@@ -140,3 +140,20 @@ def test_complete_resolution_stays_ut(S2):
 def test_complete_resolution_requires_certificate(S2):
     with pytest.raises(ValidationError):
         complete_resolution(M(S2, [["y"]]))
+
+
+def test_has_m2_column_once_per_step(S2, monkeypatch):
+    # the input's own m^2 test comes before the square test; the loop
+    # must not repeat it at step 1
+    from trmod import totref
+    calls = []
+    has_m2 = totref.has_m2_column
+    def spy(mat):
+        calls.append(mat)
+        return has_m2(mat)
+    monkeypatch.setattr(totref, "has_m2_column", spy)
+    mat = M(S2, [["x", "z"], ["y", "x"]])
+    cert = check_totally_reflexive(mat, equivalence_budget=0)
+    steps = sum(line.startswith("step ") for line in cert.log)
+    assert cert.certified and steps >= 2
+    assert len(calls) == steps and calls[0] == mat
