@@ -242,8 +242,22 @@ class ExactZeroDivisorPair:
 # -- build ---------------------------------------------------------------------
 
 
+MAX_CHARACTERISTIC = 1 << 13
+
+
 def check_characteristic(p: int) -> None:
-    """Raise ValidationError unless p is prime."""
+    """Raise ValidationError unless p is a prime below MAX_CHARACTERISTIC.
+
+    Ring arithmetic runs in int64 and must not overflow.  The widest
+    accumulation is `ring_matmul`'s: k*dim^2 terms, k the inner matrix
+    size, each a product of three residues, so below p^3.  p < 2^13 keeps
+    each term below 2^39 and leaves 2^24 terms of headroom.
+    """
+    if p >= MAX_CHARACTERISTIC:
+        raise ValidationError(
+            f"characteristic must be below {MAX_CHARACTERISTIC} "
+            f"(int64 arithmetic), got {p}"
+        )
     if p < 2 or any(p % d == 0 for d in range(2, int(p**0.5) + 1)):
         raise ValidationError(f"characteristic must be prime, got {p}")
 

@@ -123,8 +123,7 @@ def _cmd_ezd(args, A):
 
 def _cmd_tr(args, A):
     M = load_matrix(args.matrix, A)
-    cert = check_totally_reflexive(M, depth=args.depth,
-                                   equivalence_budget=args.budget)
+    cert = check_totally_reflexive(M, depth=args.depth)
     payload = certificate_to_dict(cert)
     if cert.certified and cert.period:
         try:
@@ -281,7 +280,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     ap.add_argument("--json", action="store_true", help="emit a JSON report")
     ap.add_argument("--allow-gorenstein", action="store_true")
-    ap.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
+    ap.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
+                    help="search budget of equiv and classify")
     sub = ap.add_subparsers(dest="command", required=True)
 
     ring = sub.add_parser("ring", help="ring-level reports")

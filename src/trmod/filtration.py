@@ -9,7 +9,6 @@ searches for upper triangular forms of arbitrary square matrices.
 
 from __future__ import annotations
 
-import itertools
 import warnings
 from dataclasses import dataclass, field as dc_field
 
@@ -171,7 +170,6 @@ def _isolate_partner(T: PresentationMatrix, s: RingElement):
 
 _UT_SEARCH_MAX_N = 3
 _UT_SEARCH_MAX_P = 3
-_UT_SOLUTION_CAP = 6  # max nullity enumerated per scalar pair
 
 
 def find_ut_form(M: PresentationMatrix):
@@ -183,9 +181,8 @@ def find_ut_form(M: PresentationMatrix):
     decides whether a full UT form exists.  Returns (witness, UT form),
     or None after the certified-exhaustive sweep.  The form is the
     smallest, by RingElement.order_key entry by entry row-major, of the
-    particular solutions of the solvable pairs; all solutions are tried
-    only at nullity <= _UT_SOLUTION_CAP, which needs e >= 15 (n = 2) or
-    e >= 11 (n = 3).  It is not in general the smallest UT form of M.
+    particular solutions of the solvable pairs, one per pair.  It is not
+    in general the smallest UT form of M.
     """
     A = M.algebra
     p = A.p
@@ -217,8 +214,6 @@ def find_ut_form(M: PresentationMatrix):
     zero = ~bilinear_table(A1, p).any(axis=2)
     row_of = vector_numbers(GL, p)
     col_of = vector_numbers(GL.transpose(0, 2, 1), p)[:, lo_j]
-    # the nullity is at least g minus the number of equations
-    enumerate_null = g - len(lo_i) * s2 <= _UT_SOLUTION_CAP
     best = None
     for a, P0 in enumerate(GL):
         Qs = GL[zero[row_of[a, lo_i], col_of].all(axis=1)]
@@ -235,20 +230,12 @@ def find_ut_form(M: PresentationMatrix):
             part = linalg.solve(sysA[q], rhs[q], p)
             if part is None:
                 continue
-            sols = [part]
-            if enumerate_null:
-                null = linalg.nullspace(sysA[q], p)
-                if 0 < null.shape[1] <= _UT_SOLUTION_CAP:
-                    for combo in itertools.product(range(p), repeat=null.shape[1]):
-                        if any(combo):
-                            sols.append((part + null @ np.array(combo, dtype=np.int64)) % p)
-            for coeffs in sols:
-                ent = np.zeros((n, n, A.dim), dtype=np.int64)
-                ent[:, :, 1:1 + e] = N1[q]
-                ent[:, :, 1 + e:] = (N2_base[q] + conj[q] @ coeffs) % p
-                key = tuple(ent[:, :, ::-1].reshape(-1).tolist())
-                if best is None or key < best[0]:
-                    best = (key, ent)
+            ent = np.zeros((n, n, A.dim), dtype=np.int64)
+            ent[:, :, 1:1 + e] = N1[q]
+            ent[:, :, 1 + e:] = (N2_base[q] + conj[q] @ part) % p
+            key = tuple(ent[:, :, ::-1].reshape(-1).tolist())
+            if best is None or key < best[0]:
+                best = (key, ent)
     if best is None:
         return None
     N = PresentationMatrix(A, best[1])

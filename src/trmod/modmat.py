@@ -55,16 +55,6 @@ class PresentationMatrix:
         return cls(algebra, ent)
 
     @classmethod
-    def from_elements(cls, algebra, rows) -> "PresentationMatrix":
-        r = len(rows)
-        c = len(rows[0]) if r else 0
-        ent = np.zeros((r, c, algebra.dim), dtype=np.int64)
-        for i, row in enumerate(rows):
-            for j, el in enumerate(row):
-                ent[i, j] = el.coeffs
-        return cls(algebra, ent)
-
-    @classmethod
     def zeros(cls, algebra, r, c) -> "PresentationMatrix":
         return cls(algebra, np.zeros((r, c, algebra.dim), dtype=np.int64))
 

@@ -9,12 +9,16 @@ refutes early on any of:
   * failure of dual exactness at a completed spot (a nonvanishing
     Ext^i(M, R)).
 
-It certifies when a later differential repeats an earlier one up to
-equivalence: the loop is conjugated into a literally periodic window and
-the finished certificate is replayed — products, forward exactness and
-dual exactness over one full period plus the junctions — before the
-verdict is returned.  If neither happens within the depth bound the
-result is Inconclusive.
+It certifies when a later differential repeats an earlier one.  Each
+new differential is first compared literally with the earlier ones (the
+syzygy construction is deterministic, so over a finite field the
+sequence of differentials eventually repeats exactly).  Only when the
+depth bound is reached without a literal repeat is the last differential
+compared with the earlier ones up to equivalence, nearest first; a match
+is conjugated into a literally periodic window.  Either way the finished
+certificate is replayed — products, forward exactness and dual exactness
+over one full period plus the junctions — before the verdict is
+returned.  If no repeat passes, the result is Inconclusive.
 """
 
 from __future__ import annotations
@@ -109,15 +113,14 @@ def verify_periodic_window(window: list[PresentationMatrix]) -> bool:
 def check_totally_reflexive(
     M: PresentationMatrix,
     depth: int = DEFAULT_DEPTH,
-    equivalence_budget: int = 0,
 ) -> TRCertificate:
     """Certify, refute, or give up on total reflexivity of coker M.
 
-    Periodicity is first probed by literal equality of differentials
-    (the syzygy construction is deterministic, so over a finite field
-    the sequence of differentials must eventually repeat exactly); with
-    `equivalence_budget` > 0 equivalence-detected repeats are also
-    accepted and conjugated into a literal loop.
+    Each of the `depth` resolution steps compares the new differential
+    literally with the earlier ones, oldest first.  If none repeats, the
+    last differential is compared with the earlier ones up to
+    equivalence, nearest first, by `is_equivalent` at DEFAULT_BUDGET (a
+    budget stop counts as no match), at most `depth` searches.
     """
     if depth < 1:
         raise ValidationError("depth must be >= 1")
@@ -182,70 +185,65 @@ def check_totally_reflexive(
             )
         ds.append(d_next)
         log.append(f"step {step}: syzygy computed, Betti {d_next.cols}")
-        cert = _try_certify(ds, betti, log, depth, equivalence_budget)
-        if cert is not None:
-            return cert
+        for i in range(len(ds) - 1):
+            if ds[i] == d_next:
+                cert = _try_certify(ds, betti, log, i)
+                if cert is not None:
+                    return cert
+    # no literal repeat: compare the last differential with the earlier
+    # ones up to equivalence, nearest first
+    for i in range(len(ds) - 2, -1, -1):
+        try:
+            w = is_equivalent(ds[i], ds[-1])
+        except BudgetExceededError:
+            continue
+        if w is not None:
+            cert = _try_certify(ds, betti, log, i, w.P)
+            if cert is not None:
+                return cert
     return TRCertificate(
         verdict=INCONCLUSIVE, depth=depth, betti=betti,
-        log=log + [f"no repetition within depth {depth}"],
+        log=log + [f"no repetition within depth {depth}, "
+                   "literal or up to equivalence"],
     )
 
 
-def _try_certify(ds, betti, log, depth, equivalence_budget):
-    """Look for a repeat of the newest differential among the earlier ones
-    and, if found, splice and verify a periodic window."""
+def _try_certify(ds, betti, log, i, P=None):
+    """Splice and verify a periodic window from a repeat of the newest
+    differential at ds[i]: a literal one, or P * ds[i] * Q = ds[-1]."""
     A = ds[0].algebra
     j = len(ds) - 1  # ds[j] is d_{j+1}
-    d_new = ds[j]
-    for i in range(j):
-        witness = None
-        identity = False
-        if ds[i] == d_new:
-            identity = True
-        elif equivalence_budget:
-            try:
-                w = is_equivalent(ds[i], d_new, budget=equivalence_budget)
-            except BudgetExceededError:
-                w = None
-            if w is not None:
-                witness = w
-        if not identity and witness is None:
-            continue
-        L = j - i
-        # window = d_{i+1} .. d_{i+L}, with the last differential
-        # right-conjugated (P * d_{i+1} * Q = d_{j+1} implies
-        # (d_{i+L} P) * d_{i+1} = 0 and the spliced loop stays exact).
-        window = [ds[i + t] for t in range(L - 1)]
-        last = ds[j - 1]
-        if identity:
-            window.append(last)
-        else:
-            conj = ring_matmul(A, last.entries, witness.P)
-            window.append(PresentationMatrix(A, conj))
-        if not verify_periodic_window(window):
-            continue
-        # junction with the preperiod
-        if i > 0:
-            if not (
-                _products_vanish(ds[i - 1], window[0])
-                and _forward_exact_at(ds[i - 1], window[0])
-                and _dual_exact_at(ds[i - 1], window[0])
-            ):
-                continue
-        n = ds[0].rows
-        e = A.e
-        length = coker_length(ds[0])
-        log = log + [
-            f"periodic window found: preperiod {i}, period {L}",
-            f"Betti numbers constant = {n}",
-            f"coker length {length} = n*e = {n * e}" if length == n * e
-            else f"coker length {length} != n*e = {n * e}",
-        ]
-        return TRCertificate(
-            verdict=CERTIFIED, depth=len(ds) - 1, preperiod=i, period=L,
-            prefix=list(ds[:i]), window=window, betti=betti, log=log,
-        )
-    return None
+    L = j - i
+    # window = d_{i+1} .. d_{i+L}, with the last differential
+    # right-conjugated (P * d_{i+1} * Q = d_{j+1} implies
+    # (d_{i+L} P) * d_{i+1} = 0 and the spliced loop stays exact).
+    window = ds[i:j]
+    if P is not None:
+        window[-1] = PresentationMatrix(A, ring_matmul(A, window[-1].entries, P))
+    if not verify_periodic_window(window):
+        return None
+    # junction with the preperiod
+    if i > 0:
+        if not (
+            _products_vanish(ds[i - 1], window[0])
+            and _forward_exact_at(ds[i - 1], window[0])
+            and _dual_exact_at(ds[i - 1], window[0])
+        ):
+            return None
+    n = ds[0].rows
+    e = A.e
+    length = coker_length(ds[0])
+    how = "" if P is None else " up to equivalence"
+    log = log + [
+        f"periodic window found{how}: preperiod {i}, period {L}",
+        f"Betti numbers constant = {n}",
+        f"coker length {length} = n*e = {n * e}" if length == n * e
+        else f"coker length {length} != n*e = {n * e}",
+    ]
+    return TRCertificate(
+        verdict=CERTIFIED, depth=len(ds) - 1, preperiod=i, period=L,
+        prefix=list(ds[:i]), window=window, betti=betti, log=log,
+    )
 
 
 def check_ut_tr(M: PresentationMatrix, cross_validate: bool = False):

@@ -221,7 +221,7 @@ def test_criterion_07_period_two_example():
     for p in (2, 3):
         A = _alg(p)
         M = _mat(A, [["x", "z"], ["y", "x"]])
-        cert = check_totally_reflexive(M, equivalence_budget=0)
+        cert = check_totally_reflexive(M)
         assert cert.certified
         assert cert.period == 2
         assert is_equivalent(M, M.transpose()) is not None  # self-dual

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from trmod.algebra import (
+    MAX_CHARACTERISTIC,
     AlgebraSpec,
     annihilator,
     build_algebra,
@@ -14,6 +15,7 @@ from trmod.algebra import (
     socle,
 )
 from trmod.errors import ValidationError
+from trmod.modmat import ring_matmul
 
 
 def S(p):
@@ -31,8 +33,30 @@ def test_build_rejects_non_prime_characteristic():
     for bad in (0, 1, 4, 6, 9, 15, -3):
         with pytest.raises(ValidationError, match=f"characteristic must be prime, got {bad}$"):
             build_algebra(AlgebraSpec.canonical_s(bad))
-    for p in (2, 3, 5, 7, 13):
+    for p in (2, 3, 5, 7, 11, 13):
         assert build_algebra(AlgebraSpec.canonical_s(p)).p == p
+
+
+def test_build_rejects_characteristic_beyond_int64_bound():
+    for big in (MAX_CHARACTERISTIC, 2147483647):
+        with pytest.raises(ValidationError, match=f"must be below {MAX_CHARACTERISTIC}"):
+            build_algebra(AlgebraSpec.canonical_s(big))
+
+
+def test_ring_matmul_exact_at_largest_characteristic():
+    # 8191 = 2^13 - 1 is the largest prime accepted; at 2^31 - 1 the
+    # x*y coefficient of entry (0, 0) below came out 2 instead of 6
+    p = MAX_CHARACTERISTIC - 1
+    A = S(p)
+    T = A.mult_table.tolist()
+    rng = np.random.default_rng(7)
+    for X in (np.full((3, 3, A.dim), p - 1),
+              rng.integers(0, p, (3, 3, A.dim))):
+        Xl = X.tolist()
+        ref = [[[sum(Xl[i][k][d] * Xl[k][j][e] * T[d][e][f]
+                      for k in range(3) for d in range(A.dim) for e in range(A.dim)) % p
+                 for f in range(A.dim)] for j in range(3)] for i in range(3)]
+        assert ring_matmul(A, X, X).tolist() == ref
 
 
 def test_build_rejects_m2_zero():

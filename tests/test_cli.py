@@ -2,7 +2,10 @@ import json
 
 import pytest
 
-from trmod.cli import main
+from trmod.algebra import AlgebraSpec, build_algebra
+from trmod.cli import certificate_to_dict, main
+from trmod.modmat import PresentationMatrix
+from trmod.totref import check_totally_reflexive
 
 
 def write_json(path, data):
@@ -74,6 +77,12 @@ def test_gorenstein_warning(capsys, tmp_path):
     assert "Gorenstein" not in captured.err
 
 
+def test_ring_beyond_int64_bound_is_invalid(capsys):
+    code, rep = run(capsys, "ring", "check", "S:2147483647")
+    assert code == 3
+    assert "must be below" in rep["result"]["error"]
+
+
 def test_ezd(capsys):
     code, rep = run(capsys, "ezd", "S:2")
     assert code == 0
@@ -90,6 +99,17 @@ def test_tr_certified(capsys, matrix_file):
     assert "complete_resolution" in res
     positions = sorted(int(k) for k in res["complete_resolution"])
     assert positions == list(range(-3, 4))
+
+
+def test_tr_returns_library_certificate(capsys, matrix_file):
+    rows = [["x", "z"], ["y", "x"]]
+    code, rep = run(capsys, "tr", "S:2", matrix_file(rows))
+    A = build_algebra(AlgebraSpec.canonical_s(2))
+    cert = check_totally_reflexive(PresentationMatrix.from_exprs(A, rows))
+    assert (cert.preperiod, cert.period) == (1, 2)
+    res = rep["result"]
+    res.pop("complete_resolution")
+    assert res == json.loads(json.dumps(certificate_to_dict(cert)))
 
 
 def test_tr_refuted(capsys, matrix_file):

@@ -176,25 +176,18 @@ def _scan_pairs_reference(mat):
             part = linalg.solve(sysA, rhs, p)
             if part is None:
                 continue
-            null = linalg.nullspace(sysA, p)
-            sols = [part]
-            if 0 < null.shape[1] <= 6:
-                for combo in itertools.product(range(p), repeat=null.shape[1]):
-                    if any(combo):
-                        sols.append((part + null @ np.array(combo)) % p)
-            for coeffs in sols:
-                delta = (corr @ coeffs % p).reshape(n, n, s2)
-                N2 = (N2_base + np.einsum("il,ljs,jm->ims", P0, delta, Q0)) % p
-                ent = np.zeros((n, n, A.dim), dtype=np.int64)
-                ent[:, :, 1:1 + e] = N1
-                ent[:, :, 1 + e:] = N2
-                N = PresentationMatrix(A, ent)
-                if not N.is_upper_triangular:
-                    continue
-                key = tuple(N.entry(i, j).order_key()
-                            for i in range(n) for j in range(n))
-                if best is None or key < best[0]:
-                    best = (key, N)
+            delta = (corr @ part % p).reshape(n, n, s2)
+            N2 = (N2_base + np.einsum("il,ljs,jm->ims", P0, delta, Q0)) % p
+            ent = np.zeros((n, n, A.dim), dtype=np.int64)
+            ent[:, :, 1:1 + e] = N1
+            ent[:, :, 1 + e:] = N2
+            N = PresentationMatrix(A, ent)
+            if not N.is_upper_triangular:
+                continue
+            key = tuple(N.entry(i, j).order_key()
+                        for i in range(n) for j in range(n))
+            if best is None or key < best[0]:
+                best = (key, N)
     return None if best is None else best[1]
 
 

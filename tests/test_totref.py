@@ -1,10 +1,11 @@
 import pytest
 
 from trmod.algebra import AlgebraSpec, build_algebra
-from trmod.errors import ValidationError
-from trmod.modmat import PresentationMatrix, coker_length
+from trmod.errors import BudgetExceededError, ValidationError
+from trmod.modmat import PresentationMatrix, coker_length, syzygy
 from trmod.totref import (
     CERTIFIED,
+    INCONCLUSIVE,
     REFUTED,
     check_totally_reflexive,
     check_ut_tr,
@@ -37,7 +38,7 @@ def test_certify_cyclic_period_one(S2):
 
 def test_certify_two_by_two(S2):
     mat = M(S2, [["x", "z"], ["y", "x"]])
-    cert = check_totally_reflexive(mat, equivalence_budget=0)
+    cert = check_totally_reflexive(mat)
     assert cert.certified
     assert cert.period in (1, 2)
     assert verify_periodic_window(cert.window)
@@ -46,7 +47,7 @@ def test_certify_two_by_two(S2):
 
 def test_certify_two_by_two_f3(S3):
     mat = M(S3, [["x", "z"], ["y", "x"]])
-    cert = check_totally_reflexive(mat, equivalence_budget=0)
+    cert = check_totally_reflexive(mat)
     assert cert.certified
     assert verify_periodic_window(cert.window)
 
@@ -153,7 +154,50 @@ def test_has_m2_column_once_per_step(S2, monkeypatch):
         return has_m2(mat)
     monkeypatch.setattr(totref, "has_m2_column", spy)
     mat = M(S2, [["x", "z"], ["y", "x"]])
-    cert = check_totally_reflexive(mat, equivalence_budget=0)
+    cert = check_totally_reflexive(mat)
     steps = sum(line.startswith("step ") for line in cert.log)
     assert cert.certified and steps >= 2
     assert len(calls) == steps and calls[0] == mat
+
+
+@pytest.mark.parametrize("p", [2, 3])
+def test_equivalence_repeat_only_without_literal_one(p):
+    A = build_algebra(AlgebraSpec.canonical_s(p))
+    mat = M(A, [["x", "z"], ["y", "x"]])
+    # d_2 repeats d_1 only up to equivalence; d_4 = d_2 literally
+    cert = check_totally_reflexive(mat, depth=1)
+    assert cert.certified and (cert.preperiod, cert.period) == (0, 1)
+    assert "periodic window found up to equivalence: preperiod 0, period 1" in cert.log
+    assert verify_periodic_window(cert.window)
+    deep = check_totally_reflexive(mat, depth=3)
+    assert deep.certified and (deep.preperiod, deep.period) == (1, 2)
+    assert "periodic window found: preperiod 1, period 2" in deep.log
+
+
+def test_equivalence_search_nearest_first_and_only_at_depth(S2, monkeypatch):
+    from trmod import totref
+    calls = []
+    is_eq = totref.is_equivalent
+    def spy(a, b):
+        calls.append((a, b))
+        return is_eq(a, b)
+    monkeypatch.setattr(totref, "is_equivalent", spy)
+    mat = M(S2, [["x", "z"], ["y", "x"]])
+    assert check_totally_reflexive(mat, depth=3).period == 2
+    assert calls == []
+    cert = check_totally_reflexive(mat, depth=2)
+    assert (cert.preperiod, cert.period) == (1, 1)
+    d2 = syzygy(mat)
+    assert calls == [(d2, syzygy(d2))]  # d_3 against d_2 first, not d_1
+
+
+def test_budget_stop_in_equivalence_search_is_no_match(S2, monkeypatch):
+    from trmod import totref
+    calls = []
+    def over_budget(a, b):
+        calls.append((a, b))
+        raise BudgetExceededError("over", required=2, budget=1)
+    monkeypatch.setattr(totref, "is_equivalent", over_budget)
+    cert = check_totally_reflexive(M(S2, [["x", "z"], ["y", "x"]]), depth=2)
+    assert cert.verdict == INCONCLUSIVE
+    assert len(calls) == 2
