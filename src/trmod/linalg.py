@@ -17,11 +17,13 @@ import bisect
 import numpy as np
 
 
-def _rref_rows(rows: list[list[int]], n: int, p: int) -> list[int]:
+def _rref_rows(rows: list[list[int]], n: int, p: int, _above: bool = True) -> list[int]:
     """RREF mod p of `rows` (lists of ints in [0, p), n columns), in place.
 
     Returns the pivot columns; the first len(pivots) rows are then the
-    nonzero rows of the RREF.
+    nonzero rows of the RREF.  With `_above` false only the rows below
+    each pivot are cleared: the rows are left in echelon form, which has
+    the same pivots.
     """
     m = len(rows)
     pivots: list[int] = []
@@ -40,7 +42,7 @@ def _rref_rows(rows: list[list[int]], n: int, p: int) -> list[int]:
             iv = pow(piv[c], p - 2, p)
             piv = [a * iv % p for a in piv]
         rows[r] = piv
-        for i in range(m):
+        for i in range(0 if _above else r + 1, m):
             f = rows[i][c]
             if f and i != r:
                 f = p - f
@@ -73,8 +75,9 @@ def rref(A, p: int):
 
 
 def rank(A, p: int) -> int:
+    """Rank mod p, by forward elimination only."""
     R = _as_matrix(A) % p
-    return len(_rref_rows(R.tolist(), R.shape[1], p))
+    return len(_rref_rows(R.tolist(), R.shape[1], p, _above=False))
 
 
 def independent_columns(A, p: int, skip: int = 0) -> list[int]:

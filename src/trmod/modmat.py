@@ -302,9 +302,16 @@ def syzygy(M: PresentationMatrix) -> PresentationMatrix:
     # Generators: the columns of N independent of m*ker and of the columns
     # before them, i.e. the pivot columns of [m*N | N] past the m*N block,
     # whose column (i, t) is basis element i of m times kernel vector t.
+    # Every column lies in ker, and reading a kernel vector at N's free
+    # rows (column t of N is 1 at its last nonzero entry, free[t], and 0
+    # at the other free rows) gives its coordinates in the basis N, an
+    # isomorphism ker -> F_p^k; so [m*N[free] | I_k] has the same pivot
+    # columns, with k rows instead of c*d.
+    free = c * d - 1 - (N[::-1] != 0).argmax(axis=0)
     mN = np.einsum("iab,jbt->jait", A._mult_ops[1:], N.reshape(c, d, -1)).reshape(c * d, -1)
     keep = linalg.independent_columns(
-        np.concatenate([mN, N], axis=1), A.p, skip=mN.shape[1])
+        np.concatenate([mN[free], np.eye(N.shape[1], dtype=np.int64)], axis=1), A.p,
+        skip=mN.shape[1])
     V = N[:, keep]
     # scale each generator so its first nonzero coordinate is 1
     lead = V[(V != 0).argmax(axis=0), range(len(keep))]
@@ -391,25 +398,26 @@ def has_m2_column(M: PresentationMatrix) -> bool:
 
     Criterion: the column span V (as R-submodule) satisfies
     V ∩ m^2 R^r ⊄ mV, which is invariant under row and column
-    operations over the ring.
+    operations over the ring.  Both sides are read off ranks, since
+    m^3 = 0 and M is minimal: mV ⊆ V ∩ m^2 R^r; V / mV has dimension
+    mu, the number of minimal generators of V; and V ∩ m^2 R^r has
+    codimension rank(L1) in V, where L1 is the (r*e) x c matrix of the
+    columns' linear parts.  So the criterion holds iff rank(L1) < mu.
+    mu is c minus the rank of the constant parts of the relations among
+    the columns (the kernel of lin M read at each column's unit
+    coordinate), computed only when rank(L1) < c.
     """
+    if not M.is_minimal:
+        raise ValidationError("has_m2_column requires a minimal presentation matrix")
     A = M.algebra
-    d = A.dim
     r, c = M.rows, M.cols
     if c == 0 or r == 0:
         return False
-    V = linalg.Subspace(r * d, A.p, linearize(M).T)
-    # row (i, t): basis element i of m times basis vector t of V
-    mV = linalg.Subspace(r * d, A.p, np.einsum(
-        "iab,tjb->itja", A._mult_ops[1:], V.basis.reshape(-1, r, d)).reshape(-1, r * d))
-    # V ∩ m^2 R^r: solutions of (combination of V-basis) vanishing on
-    # all coordinates outside the m^2 block of each copy of R.
-    non_m2 = [t * d + i for t in range(r) for i in range(1 + A.e)]
-    B = V.basis.T  # ambient x dimV
-    if B.shape[1] == 0:
+    lin_rank = linalg.rank(M.linear_part().transpose(0, 2, 1).reshape(r * A.e, c), A.p)
+    if lin_rank == c:
         return False
-    K = linalg.nullspace(B[non_m2, :], A.p)
-    return bool(mV.reduce((B @ K % A.p).T).any())
+    relations = linalg.nullspace(linearize(M), A.p)[::A.dim]
+    return lin_rank < c - linalg.rank(relations, A.p)
 
 
 # -- equivalence ---------------------------------------------------------------
@@ -434,18 +442,45 @@ class EquivalenceWitness:
 
 
 _GL_CACHE: dict[tuple[int, int], np.ndarray] = {}
+_GL_CHUNK = 1 << 16  # candidate matrices eliminated at once
+
+
+def _nonsingular(S: np.ndarray, p: int) -> np.ndarray:
+    """Mask of the invertible matrices in a stack S of n x n matrices mod
+    p: forward elimination on the whole stack at once."""
+    S = S.copy()
+    m, n = S.shape[:2]
+    inverse = np.array([0] + [pow(a, p - 2, p) for a in range(1, p)], dtype=np.int64)
+    ok = np.ones(m, dtype=bool)
+    stack = np.arange(m)
+    for c in range(n):
+        nonzero = S[:, c:, c] != 0
+        ok &= nonzero.any(axis=1)
+        # swap the first row at or below c that is nonzero at c into row c
+        below = c + nonzero.argmax(axis=1)
+        piv = S[stack, below]
+        S[stack, below] = S[:, c]
+        S[:, c] = piv
+        f = S[:, c + 1:, c] * inverse[piv[:, c]][:, None] % p
+        S[:, c + 1:] = (S[:, c + 1:] - f[:, :, None] * piv[:, None, :]) % p
+    return ok
 
 
 def general_linear_group(n: int, p: int) -> np.ndarray:
-    """All invertible n x n matrices over F_p, as an (N, n, n) array."""
+    """All invertible n x n matrices over F_p, as an (N, n, n) array, in
+    the order of itertools.product(range(p), repeat=n*n) over the entries
+    read row by row: the base-p digits of 0, 1, ..., p^(n*n) - 1, tested
+    _GL_CHUNK at a time."""
     key = (n, p)
     if key not in _GL_CACHE:
-        mats = []
-        for combo in itertools.product(range(p), repeat=n * n):
-            S = np.array(combo, dtype=np.int64).reshape(n, n)
-            if linalg.det_nonzero(S, p):
-                mats.append(S)
-        _GL_CACHE[key] = np.stack(mats)
+        total = p ** (n * n)
+        place = p ** np.arange(n * n - 1, -1, -1)
+        blocks = []
+        for start in range(0, total, _GL_CHUNK):
+            numbers = np.arange(start, min(start + _GL_CHUNK, total))
+            S = (numbers[:, None] // place % p).reshape(len(numbers), n, n)
+            blocks.append(S[_nonsingular(S, p)])
+        _GL_CACHE[key] = np.concatenate(blocks)
     return _GL_CACHE[key]
 
 
@@ -543,7 +578,7 @@ def is_equivalent(
     B1 = M2.linear_part()
     A2 = M1.quadratic_part().reshape(-1)
     B2 = M2.quadratic_part()
-    corr = correction_space(M1)
+    corr = None  # built once a pair of scalar parts reaches it
     GLr = general_linear_group(r, p)
     # match[u, v, i, j]: u*A1*v equals B1[i, j]
     match = (bilinear_table(A1, p)[:, :, None, None, :] == B1).all(axis=4)
@@ -578,6 +613,8 @@ def is_equivalent(
             Q0 = q.reshape(c, c)
             if not linalg.det_nonzero(Q0, p):
                 continue
+            if corr is None:
+                corr = correction_space(M1)
             witness = _try_quadratic(M1, M2, P0, Q0, corr, A2, B2)
             if witness is not None:
                 return witness

@@ -159,6 +159,8 @@ def test_rref_rank_nullspace_match_reference(case):
     assert R.tobytes() == R_ref.tobytes()
     assert pivots == piv_ref
     assert linalg.rank(A, p) == len(piv_ref)
+    # rank's forward elimination finds the same pivots
+    assert linalg._rref_rows((A % p).tolist(), A.shape[1], p, _above=False) == piv_ref
     N = linalg.nullspace(A, p)
     assert N.tobytes() == _ref_nullspace(A, p).tobytes()
     assert N.shape == (A.shape[1], A.shape[1] - len(piv_ref))

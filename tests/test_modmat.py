@@ -790,3 +790,125 @@ def test_is_equivalent_skips_unsolvable_linear_parts(S2, monkeypatch):
                  ([["x", "z"], ["0", "x + y"]], [["x", "0"], ["0", "y"]])):
         assert is_equivalent(M(S2, a), M(S2, b)) is None
     assert calls == []
+
+
+# -- has_m2_column by ranks, syzygy generators in kernel coordinates ------------
+
+
+def _subspace_has_m2_column(M):
+    """V ∩ m^2 R^r ⊄ mV with both sides built as subspaces: V and mV by
+    one RREF each, V ∩ m^2 R^r as a nullspace in V's basis."""
+    A = M.algebra
+    d, r = A.dim, M.rows
+    V = linalg.Subspace(r * d, A.p, linearize(M).T)
+    mV = linalg.Subspace(r * d, A.p, np.einsum(
+        "iab,tjb->itja", A._mult_ops[1:], V.basis.reshape(-1, r, d)).reshape(-1, r * d))
+    non_m2 = [t * d + i for t in range(r) for i in range(1 + A.e)]
+    B = V.basis.T
+    if B.shape[1] == 0:
+        return False
+    K = linalg.nullspace(B[non_m2, :], A.p)
+    return bool(mV.reduce((B @ K % A.p).T).any())
+
+
+def _ambient_syzygy(M):
+    """syzygy with its generators picked from [m*N | N] in R^c."""
+    A = M.algebra
+    c, d = M.cols, A.dim
+    N = linalg.nullspace(linearize(M), A.p)
+    mN = np.einsum("iab,jbt->jait", A._mult_ops[1:], N.reshape(c, d, -1)).reshape(c * d, -1)
+    keep = linalg.independent_columns(
+        np.concatenate([mN, N], axis=1), A.p, skip=mN.shape[1])
+    V = N[:, keep]
+    lead = V[(V != 0).argmax(axis=0), range(len(keep))]
+    V = V * np.array([pow(int(a), A.p - 2, A.p) for a in lead], dtype=np.int64) % A.p
+    return PresentationMatrix(A, V.reshape(c, d, len(keep)).transpose(0, 2, 1))
+
+
+def _linear_rank_below_cols(M):
+    """The criterion with c in place of mu: wrong when the columns are
+    not minimal generators of their span."""
+    A = M.algebra
+    L1 = M.linear_part().transpose(0, 2, 1).reshape(M.rows * A.e, M.cols)
+    return linalg.rank(L1, A.p) < M.cols
+
+
+def _m2_cases(p, seed):
+    """Seeded minimal presentations over S:p, tagged: random ones (half
+    with linear entries only, a quarter with a column in m^2),
+    `redundant` ones whose last column is a ring multiple of the first
+    (by a unit or by an element of m), and the first two syzygies of
+    each random one while they stay minimal."""
+    A = build_algebra(AlgebraSpec.canonical_s(p))
+    rng = np.random.default_rng(seed)
+    for k in range(120):
+        r, c = int(rng.integers(1, 4)), int(rng.integers(1, 4))
+        ent = rng.integers(0, p, size=(r, c, A.dim))
+        ent[:, :, 0] = 0
+        if k % 2:
+            ent[:, :, 1 + A.e:] = 0
+        elif k % 4 == 2:
+            ent[:, -1, 1:1 + A.e] = 0  # a column of m^2 entries
+        mat = PresentationMatrix(A, ent)
+        yield "random", mat
+        for _ in range(2):
+            if not mat.cols:
+                break
+            mat = syzygy(mat)
+            if not mat.is_minimal:  # redundant columns give unit relations
+                break
+            yield "syzygy", mat
+        a = rng.integers(0, p, size=(1, 1, A.dim))
+        a[0, 0, 0] = k % 2 * rng.integers(1, p)  # a unit, or in m
+        ent = np.concatenate([ent, ring_matmul(A, ent[:, [0]], a)], axis=1)
+        yield "redundant", PresentationMatrix(A, ent)
+
+
+@pytest.mark.parametrize("p, seed", [(2, 31), (3, 32), (5, 33)])
+def test_has_m2_column_by_ranks_matches_subspaces(p, seed):
+    seen = {"random": [0, 0], "syzygy": [0, 0], "redundant": [0, 0]}
+    mutant_wrong = 0
+    for kind, mat in _m2_cases(p, seed):
+        if not (mat.rows and mat.cols):
+            continue
+        got = has_m2_column(mat)
+        assert got == _subspace_has_m2_column(mat), (kind, mat)
+        seen[kind][got] += 1
+        mutant_wrong += kind == "redundant" and _linear_rank_below_cols(mat) != got
+        if kind != "redundant":
+            assert _same(syzygy(mat).entries, _ambient_syzygy(mat).entries)
+    # both verdicts occur, and the redundant cases tell mu from c
+    assert all(seen["random"]) and seen["redundant"][False] and seen["syzygy"][False]
+    assert mutant_wrong
+
+
+def test_has_m2_column_rejects_non_minimal(S2):
+    with pytest.raises(ValidationError):
+        has_m2_column(M(S2, [["1", "x"], ["y", "x"]]))
+
+
+@pytest.mark.parametrize("n, p", [(1, 5), (2, 2), (2, 3), (2, 5), (3, 2), (3, 3)])
+def test_general_linear_group_matches_product_loop(n, p, monkeypatch):
+    ref = np.stack([S for S in (np.array(combo, dtype=np.int64).reshape(n, n)
+                                for combo in itertools.product(range(p), repeat=n * n))
+                    if linalg.det_nonzero(S, p)])
+    for chunk in (modmat._GL_CHUNK, 7):  # one chunk, and many
+        monkeypatch.setattr(modmat, "_GL_CACHE", {})
+        monkeypatch.setattr(modmat, "_GL_CHUNK", chunk)
+        assert _same(modmat.general_linear_group(n, p), ref)
+    assert len(ref) == modmat._gl_order(n, p)
+
+
+def test_is_equivalent_builds_correction_space_only_when_needed(S2, monkeypatch):
+    calls = []
+    build = modmat.correction_space
+    def spy(mat):
+        calls.append(mat)
+        return build(mat)
+    monkeypatch.setattr(modmat, "correction_space", spy)
+    # the table rejects every P0: no correction space
+    assert is_equivalent(M(S2, [["x"]]), M(S2, [["x + y"]])) is None
+    assert calls == []
+    mat = M(S2, [["x", "z"], ["y", "x"]])
+    assert is_equivalent(mat, mat) is not None
+    assert calls == [mat]

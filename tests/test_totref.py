@@ -201,3 +201,34 @@ def test_budget_stop_in_equivalence_search_is_no_match(S2, monkeypatch):
     cert = check_totally_reflexive(M(S2, [["x", "z"], ["y", "x"]]), depth=2)
     assert cert.verdict == INCONCLUSIVE
     assert len(calls) == 2
+
+
+def test_one_dual_rank_per_differential(S2, monkeypatch):
+    # the loop carries rank(lin d^T) from one step to the next, and the
+    # window replay takes a forward and a dual rank of each matrix once
+    import numpy as np
+    from trmod import linalg, totref
+    calls = []  # (phase, shape of the ranked matrix)
+    phase = ["loop"]
+    rank = linalg.rank
+    def spy(mat, p):
+        calls.append((phase[0], np.shape(mat)))
+        return rank(mat, p)
+    verify = totref.verify_periodic_window
+    def replay(window):
+        phase[0] = "replay"
+        try:
+            return verify(window)
+        finally:
+            phase[0] = "after"
+    monkeypatch.setattr(linalg, "rank", spy)
+    monkeypatch.setattr(totref, "verify_periodic_window", replay)
+    mat = M(S2, [["x", "z"], ["y", "x"]])
+    cert = check_totally_reflexive(mat)
+    assert cert.certified and (cert.preperiod, cert.period) == (1, 2)
+    side = mat.rows * S2.dim
+    # has_m2_column ranks (r*e) x c linear parts; every square rank of
+    # side n*dim in the loop is the dual rank of one differential
+    loop = [shape for ph, shape in calls if ph == "loop"]
+    assert loop.count((side, side)) == len(cert.betti) == 4
+    assert [shape for ph, shape in calls if ph == "replay"] == [(side, side)] * (2 * cert.period)
