@@ -25,6 +25,7 @@ from .algebra import (
 )
 from .errors import BudgetExceededError, ValidationError
 from .modmat import (
+    _GL_CHUNK,
     EquivalenceWitness,
     PresentationMatrix,
     bilinear_table,
@@ -33,6 +34,7 @@ from .modmat import (
     divide,
     general_linear_group,
     is_equivalent,
+    ring_identity,
     syzygy,
     vector_numbers,
 )
@@ -175,14 +177,24 @@ _UT_SEARCH_MAX_P = 3
 def find_ut_form(M: PresentationMatrix):
     """Upper triangular form of M under equivalence, if one exists.
 
-    Exhausts scalar parts (P0, Q0) over GL_n x GL_n; for each pair with
-    upper triangular transformed linear part, solvability of the
+    An upper triangular M is returned as it is, with the identity
+    witness, at any size.  Otherwise the search exhausts scalar parts
+    (P0, Q0) over GL_n x GL_n: a pair whose transformed linear part is
+    upper triangular is UT-compatible, and solvability of its
     below-diagonal quadratic system (over the correction space of M)
     decides whether a full UT form exists.  Returns (witness, UT form),
-    or None after the certified-exhaustive sweep.  The form is the
-    smallest, by RingElement.order_key entry by entry row-major, of the
-    particular solutions of the solvable pairs, one per pair.  It is not
-    in general the smallest UT form of M.
+    or None after the certified-exhaustive sweep.
+
+    The UT-compatible pairs are picked out by one table lookup for a
+    block of P0 at a time, in the order P0, then Q0, of GL_n, and their
+    systems are solved a chunk of pairs at a time by one stacked
+    elimination (`linalg.solve_stack`).  A block covers at most
+    _GL_CHUNK pairs and a chunk holds at most _GL_CHUNK coefficients of
+    the stacked systems, so memory does not grow with |GL_n|^2 or with
+    the number of pairs.  The form is the smallest, by
+    RingElement.order_key entry by entry row-major, of the particular
+    solutions of the solvable pairs, one per pair; equal candidates are
+    equal byte for byte.  It is not in general the smallest UT form of M.
     """
     A = M.algebra
     p = A.p
@@ -191,54 +203,56 @@ def find_ut_form(M: PresentationMatrix):
     if not M.is_minimal:
         raise ValidationError("matrix must be minimal")
     n = M.rows
-    if n == 0:
-        return EquivalenceWitness(A, np.zeros((0, 0, A.dim), dtype=np.int64),
-                                  np.zeros((0, 0, A.dim), dtype=np.int64)), M
+    if M.is_upper_triangular:
+        I = ring_identity(A, n)
+        return EquivalenceWitness(A, I, I.copy()), M
     for name, value, cap in (("n", n, _UT_SEARCH_MAX_N), ("p", p, _UT_SEARCH_MAX_P)):
         if value > cap:
             raise BudgetExceededError(f"UT-form search limited to {name} <= {cap}",
                                       required=value, budget=cap)
-    if M.is_upper_triangular:
-        w = is_equivalent(M, M)
-        return w, M
-    e, s2 = A.e, A.s2
+    e = A.e
     A1 = M.linear_part()
     A2 = M.quadratic_part()
-    corr = correction_space(M)
-    g = corr.shape[1]
-    corr = corr.reshape(n, n, s2, g)
+    corr = correction_space(M).reshape(n, n, A.s2, -1)
     GL = general_linear_group(n, p)
     lo_i, lo_j = np.tril_indices(n, -1)
-    # entry (i, j) of P0*A1*Q0 is u*A1*v for u row i of P0 and v column j
-    # of Q0; zero[u, v] says whether it vanishes
+    # below-diagonal entry t of P0*A1*Q0 is u*A1*v for u row lo_i[t] of P0
+    # and v column lo_j[t] of Q0; cleared[t, u] marks the Q0 that make it
+    # vanish for that u
     zero = ~bilinear_table(A1, p).any(axis=2)
-    row_of = vector_numbers(GL, p)
-    col_of = vector_numbers(GL.transpose(0, 2, 1), p)[:, lo_j]
+    cleared = zero[:, vector_numbers(GL.transpose(0, 2, 1), p)[:, lo_j]].transpose(2, 0, 1)
+    row_of = vector_numbers(GL, p)[:, lo_i]
+    terms = np.arange(len(lo_i))
+    block = max(1, _GL_CHUNK // len(GL))  # P0 per lookup
+    chunk = max(1, _GL_CHUNK // corr[lo_i, lo_j].size)  # pairs per elimination
     best = None
-    for a, P0 in enumerate(GL):
-        Qs = GL[zero[row_of[a, lo_i], col_of].all(axis=1)]
-        if not len(Qs):
-            continue
-        N1 = np.einsum("il,lje,qjm->qime", P0, A1, Qs) % p
-        N2_base = np.einsum("il,ljs,qjm->qims", P0, A2, Qs) % p
-        # conjugate each correction generator; its below-diagonal rows
-        # are the system that clears the quadratic part below the diagonal
-        conj = np.einsum("il,ljsg,qjm->qimsg", P0, corr, Qs) % p
-        sysA = conj[:, lo_i, lo_j].reshape(len(Qs), -1, g)
-        rhs = (-N2_base[:, lo_i, lo_j].reshape(len(Qs), -1)) % p
-        for q in range(len(Qs)):
-            part = linalg.solve(sysA[q], rhs[q], p)
-            if part is None:
-                continue
-            ent = np.zeros((n, n, A.dim), dtype=np.int64)
-            ent[:, :, 1:1 + e] = N1[q]
-            ent[:, :, 1 + e:] = (N2_base[q] + conj[q] @ part) % p
-            key = tuple(ent[:, :, ::-1].reshape(-1).tolist())
-            if best is None or key < best[0]:
-                best = (key, ent)
+    for a0 in range(0, len(GL), block):
+        pa, pq = np.nonzero(cleared[terms, row_of[a0:a0 + block]].all(axis=1))
+        for c0 in range(0, len(pa), chunk):
+            a, q = a0 + pa[c0:c0 + chunk], pq[c0:c0 + chunk]
+            P0, Q0 = GL[a], GL[q]
+            N2 = np.einsum("qil,ljs,qjm->qims", P0, A2, Q0) % p
+            # the correction generators conjugated by (P0, Q0), below the
+            # diagonal: the system that clears the quadratic part there
+            sysA = np.einsum("qtl,ljsg,qjt->qtsg", P0[:, lo_i], corr, Q0[:, :, lo_j]) % p
+            ok, part = linalg.solve_stack(sysA.reshape(len(a), -1, corr.shape[-1]),
+                                          -N2[:, lo_i, lo_j].reshape(len(a), -1), p)
+            P0, Q0, N2, part = P0[ok], Q0[ok], N2[ok], part[ok]
+            # the conjugated correction (P0*corr*Q0) @ part is P0*(corr @ part)*Q0
+            delta = np.einsum("ljsg,qg->qljs", corr, part) % p
+            ent = np.zeros((len(P0), n, n, A.dim), dtype=np.int64)
+            ent[..., 1:1 + e] = np.einsum("qil,lje,qjm->qime", P0, A1, Q0) % p
+            ent[..., 1 + e:] = (N2 + np.einsum("qil,qljs,qjm->qims", P0, delta, Q0)) % p
+            if best is not None:
+                ent = np.concatenate([best[None], ent])
+            if len(ent):
+                # RingElement.order_key compares coefficients last basis
+                # element first; lexsort's primary key is its last row
+                keys = ent[..., ::-1].reshape(len(ent), -1)
+                best = ent[np.lexsort(keys.T[::-1])[0]]
     if best is None:
         return None
-    N = PresentationMatrix(A, best[1])
+    N = PresentationMatrix(A, best)
     w = is_equivalent(M, N)
     assert w is not None
     return w, N

@@ -3,7 +3,9 @@
 Matrices are int64 numpy arrays with entries reduced mod p.  Gaussian
 elimination runs on the rows as lists of Python ints, which the
 interpreter handles faster than numpy scalars and which cannot
-overflow.
+overflow.  A stack of many small systems (`rank_stack`, `solve_stack`)
+is eliminated at once instead, one numpy step per pivot for the whole
+stack.
 
 All subspaces are represented by their reduced row-echelon form (RREF),
 which is canonical: two generating sets span the same subspace iff their
@@ -122,6 +124,83 @@ def solve(A, b, p: int):
     x = np.zeros(n, dtype=np.int64)
     x[pivots] = R[: len(pivots), n]
     return x
+
+
+def _stack_dtype(p: int):
+    """The narrowest integer type that holds every value the stacked
+    elimination forms: entries below p and products below p^2."""
+    return np.int32 if p * p < 1 << 31 else np.int64
+
+
+def _eliminate_stack(T: np.ndarray, p: int, ncols: int, above: bool = True):
+    """Gaussian elimination mod p, in place, of the matrices T[:, :, k] of
+    an (m, w, B) array with entries in [0, p), over their first `ncols`
+    columns.
+
+    The stack is the last axis, so each operation is elementwise over
+    the whole stack.  Step r finds pivot r of every matrix at once: each
+    matrix takes the first column with a nonzero in rows r and below,
+    swaps the first such row up to row r, scales it to 1 and clears that
+    column in its other rows (with `above` false, only in the rows
+    below).  Returns (rank, pivots): the rank of each matrix, and an
+    (m, B) array of the column of each row's pivot, `ncols` for the rows
+    past the rank.  With `above` true each matrix ends in RREF.
+    """
+    m, _, B = T.shape
+    # inverse[0] = 1 leaves row r as it is in a matrix with no pivot left
+    inverse = np.array([1] + [pow(a, p - 2, p) for a in range(1, p)], dtype=T.dtype)
+    rank = np.zeros(B, dtype=np.int64)
+    pivots = np.full((m, B), ncols, dtype=np.int64)
+    each = np.arange(B)
+    for r in range(min(m, ncols)):
+        nonzero = T[r:, :ncols] != 0
+        cols = nonzero.any(axis=0)
+        has = cols.any(axis=0)
+        if not has.any():
+            break
+        c = cols.argmax(axis=0)
+        below = r + nonzero[:, c, each].argmax(axis=0)
+        piv = T[below, :, each].T
+        T[below, :, each] = T[r].T
+        T[r] = piv * inverse[piv[c, each]] % p
+        rows = slice(None) if above else slice(r + 1, None)
+        f = T[rows, c, each] * has
+        if above:
+            f[r] = 0
+        T[rows] -= f[:, None] * T[r]
+        T[rows] %= p
+        pivots[r, has] = c[has]
+        rank[has] = r + 1
+    return rank, pivots
+
+
+def rank_stack(S, p: int) -> np.ndarray:
+    """Rank mod p of each matrix of a (B, m, n) stack, by forward
+    elimination only."""
+    S = np.asarray(S, dtype=np.int64) % p
+    T = np.ascontiguousarray(S.transpose(1, 2, 0), dtype=_stack_dtype(p))
+    return _eliminate_stack(T, p, S.shape[2], above=False)[0]
+
+
+def solve_stack(A, b, p: int):
+    """Solve A[k] x = b[k] mod p for a (B, m, n) stack A and (B, m) b.
+
+    Returns (ok, X): ok[k] says whether system k is consistent, and then
+    X[k] is `solve(A[k], b[k], p)` byte for byte, since the RREF is
+    canonical and the free coordinates are 0.  X[k] is 0 where ok[k] is
+    false.
+    """
+    A = np.asarray(A, dtype=np.int64)
+    B, m, n = A.shape
+    T = np.empty((m, n + 1, B), dtype=_stack_dtype(p))
+    T[:, :n] = A.transpose(1, 2, 0) % p
+    T[:, n] = np.asarray(b, dtype=np.int64).reshape(B, m).T % p
+    rank, pivots = _eliminate_stack(T, p, n)
+    # rows past the rank are zero left of b; a nonzero b there is 0 = b_i
+    ok = ~((T[:, n] != 0) & (np.arange(m)[:, None] >= rank)).any(axis=0)
+    X = np.zeros((B, n + 1), dtype=np.int64)
+    X[np.arange(B), pivots] = T[:, n]  # rows past the rank land in column n
+    return ok, X[:, :n] * ok[:, None]
 
 
 def inv(A, p: int):

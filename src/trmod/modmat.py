@@ -442,45 +442,35 @@ class EquivalenceWitness:
 
 
 _GL_CACHE: dict[tuple[int, int], np.ndarray] = {}
-_GL_CHUNK = 1 << 16  # candidate matrices eliminated at once
+# candidate matrices eliminated, or table cells looked up, at once
+_GL_CHUNK = 1 << 16
 
 
 def _nonsingular(S: np.ndarray, p: int) -> np.ndarray:
-    """Mask of the invertible matrices in a stack S of n x n matrices mod
-    p: forward elimination on the whole stack at once."""
-    S = S.copy()
-    m, n = S.shape[:2]
-    inverse = np.array([0] + [pow(a, p - 2, p) for a in range(1, p)], dtype=np.int64)
-    ok = np.ones(m, dtype=bool)
-    stack = np.arange(m)
-    for c in range(n):
-        nonzero = S[:, c:, c] != 0
-        ok &= nonzero.any(axis=1)
-        # swap the first row at or below c that is nonzero at c into row c
-        below = c + nonzero.argmax(axis=1)
-        piv = S[stack, below]
-        S[stack, below] = S[:, c]
-        S[:, c] = piv
-        f = S[:, c + 1:, c] * inverse[piv[:, c]][:, None] % p
-        S[:, c + 1:] = (S[:, c + 1:] - f[:, :, None] * piv[:, None, :]) % p
-    return ok
+    """Mask of the invertible matrices in a stack S of n x n matrices mod p."""
+    return linalg.rank_stack(S, p) == S.shape[-1]
 
 
 def general_linear_group(n: int, p: int) -> np.ndarray:
     """All invertible n x n matrices over F_p, as an (N, n, n) array, in
     the order of itertools.product(range(p), repeat=n*n) over the entries
     read row by row: the base-p digits of 0, 1, ..., p^(n*n) - 1, tested
-    _GL_CHUNK at a time."""
+    _GL_CHUNK at a time and written into an array of the group's order."""
     key = (n, p)
     if key not in _GL_CACHE:
         total = p ** (n * n)
         place = p ** np.arange(n * n - 1, -1, -1)
-        blocks = []
+        GL = np.empty((_gl_order(n, p), n, n), dtype=np.int64)
+        filled = 0
         for start in range(0, total, _GL_CHUNK):
             numbers = np.arange(start, min(start + _GL_CHUNK, total))
             S = (numbers[:, None] // place % p).reshape(len(numbers), n, n)
-            blocks.append(S[_nonsingular(S, p)])
-        _GL_CACHE[key] = np.concatenate(blocks)
+            S = S[_nonsingular(S, p)]
+            GL[filled:filled + len(S)] = S
+            filled += len(S)
+        if filled != len(GL):
+            raise AssertionError(f"found {filled} invertible matrices, expected {len(GL)}")
+        _GL_CACHE[key] = GL
     return _GL_CACHE[key]
 
 
@@ -552,11 +542,11 @@ def is_equivalent(
     for u_i row i of P0 and v column j of Q0, so P0*A1*Q0 = B1 has a
     solution (singular or not) iff every column j has some v with
     u_i*A1*v = B1[i, j] for all i.  One table of u*A1*v over all u, v
-    (`bilinear_table`) answers that for each P0 with one lookup, and
-    only the P0 that pass reach the linear solve.  The skipped P0 are
-    exactly those whose solve would fail, so the witness, the order in
-    which candidates are tried and the budget count are those of the
-    full scan.
+    (`bilinear_table`) answers that for a block of P0 at a time with one
+    lookup, and only the P0 that pass reach the linear solve.  The
+    skipped P0 are exactly those whose solve would fail, so the witness,
+    the order in which candidates are tried and the budget count are
+    those of the full scan.
     """
     if M1.algebra is not M2.algebra and M1.algebra.spec != M2.algebra.spec:
         raise ValidationError("matrices over different algebras")
@@ -584,10 +574,11 @@ def is_equivalent(
     match = (bilinear_table(A1, p)[:, :, None, None, :] == B1).all(axis=4)
     row_of = vector_numbers(GLr, p)
     rows = np.arange(r)
+    block = max(1, _GL_CHUNK // match[0, :, 0].size // r)  # r * p^c * c cells per P0
+    passing = (P0 for a in range(0, len(GLr), block) for P0 in GLr[a:a + block][
+        match[row_of[a:a + block], :, rows, :].all(1).any(1).all(1)])
     checked = 0
-    for a, P0 in enumerate(GLr):
-        if not match[row_of[a], :, rows, :].all(axis=0).any(axis=0).all():
-            continue
+    for P0 in passing:
         # Solve P0 * A1 * Q0 = B1 for the scalar matrix Q0 (linear system).
         lhs = np.einsum("il,lje->ije", P0, A1) % p  # (r, c, e)
         # unknowns Q0[l, j']: coefficient of Q0[l, j'] in equation (i, j, e)

@@ -174,6 +174,19 @@ def test_filtrate_finds_ut_form(capsys, matrix_file):
     assert rep["result"]["ut_form"] is not None
 
 
+def test_filtrate_accepts_ut_input_past_the_caps(capsys, matrix_file):
+    # the search caps n <= 3 and p <= 3 do not apply to a UT input
+    m = matrix_file([["x", "y", "0", "0"], ["0", "x", "z", "0"],
+                     ["0", "0", "x", "y"], ["0", "0", "0", "x"]])
+    code, rep = run(capsys, "filtrate", "S:2", m)
+    assert code == 0
+    assert rep["result"]["filtration"]["lengths"] == [3, 6, 9, 12]
+    m = matrix_file([["x", "y", "0"], ["0", "x + y", "z"], ["0", "0", "x + 2*z"]])
+    code, rep = run(capsys, "filtrate", "S:5", m)
+    assert code == 0
+    assert rep["result"]["filtration"]["lengths"] == [3, 6, 9]
+
+
 def test_filtrate_refuses_large_prime(capsys, matrix_file):
     m = matrix_file([["x", "z"], ["y", "x"]])
     code, rep = run(capsys, "filtrate", "S:5", m)

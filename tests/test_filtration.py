@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from trmod import linalg
+from trmod import filtration, linalg
 from trmod.algebra import AlgebraSpec, build_algebra
 from trmod.errors import BudgetExceededError, ValidationError
 from trmod.filtration import (
@@ -20,6 +20,7 @@ from trmod.modmat import (
     correction_space,
     general_linear_group,
     is_equivalent,
+    ring_identity,
     ring_matmul,
 )
 from trmod.totref import check_totally_reflexive, check_ut_tr
@@ -256,6 +257,61 @@ def test_find_ut_form_matches_pairwise_scan(p, n, draws):
         assert ut.entries.tobytes() == ref.entries.tobytes()
         assert w.P.tobytes() == ref_w.P.tobytes()
         assert w.Q.tobytes() == ref_w.Q.tobytes()
+
+
+def test_find_ut_form_returns_ut_input_past_the_caps(S2):
+    # the size caps bound the search; an input that is already UT needs
+    # none and gets the identity witness, at any n and p
+    S5 = build_algebra(AlgebraSpec.canonical_s(5))
+    x, y, z = (S2.from_expr(v) for v in "xyz")
+    for mat in (M(S2, [["x", "y"], ["0", "x + y"]]), mb_matrix(4, x, x, y, z),
+                M(S5, [["x", "y", "0"], ["0", "x + y", "z"], ["0", "0", "x + 2*z"]])):
+        w, ut = find_ut_form(mat)
+        assert ut is mat
+        identity = ring_identity(mat.algebra, mat.rows)
+        assert w.P.tobytes() == w.Q.tobytes() == identity.tobytes()
+        assert w.verify(mat, ut)
+    assert filtrate_ut(find_ut_form(mb_matrix(4, x, x, y, z))[1]).lengths == [3, 6, 9, 12]
+
+
+def test_find_ut_form_scan_makes_no_solve_call(S2, S3, monkeypatch):
+    # the scan solves every pair's system in stacked eliminations; only
+    # the final is_equivalent call may run linalg.solve
+    events = []
+    solve, equiv = linalg.solve, filtration.is_equivalent
+    def spy_solve(*args):
+        events.append("solve")
+        return solve(*args)
+    def spy_equiv(*args):
+        events.append("is_equivalent")
+        return equiv(*args)
+    monkeypatch.setattr(linalg, "solve", spy_solve)
+    monkeypatch.setattr(filtration, "is_equivalent", spy_equiv)
+    for A in (S2, S3):
+        rng = np.random.default_rng(A.p)
+        for n in (2, 3) if A.p == 2 else (2,):
+            events.clear()
+            assert find_ut_form(PresentationMatrix(A, _disguised_ut(rng, A, n))) is not None
+            assert events[0] == "is_equivalent"
+    events.clear()
+    assert find_ut_form(M(S3, [["x", "z"], ["y", "x"]])) is None
+    assert events == []
+
+
+@pytest.mark.parametrize("p, n", [(2, 2), (3, 2), (2, 3)])
+def test_find_ut_form_chunk_boundaries(p, n, monkeypatch):
+    # one P0 per block and one pair per chunk, and blocks and chunks that
+    # split GL_n and the pairs unevenly, give the default's bytes
+    A = build_algebra(AlgebraSpec.canonical_s(p))
+    rng = np.random.default_rng(300 + 10 * p + n)
+    mats = [PresentationMatrix(A, _disguised_ut(rng, A, n)) for _ in range(4)]
+    def outputs():
+        return [(ut.entries.tobytes(), w.P.tobytes(), w.Q.tobytes())
+                for w, ut in map(find_ut_form, mats)]
+    default = outputs()
+    for chunk in (1, 7, 1000):
+        monkeypatch.setattr(filtration, "_GL_CHUNK", chunk)
+        assert outputs() == default
 
 
 def test_find_ut_form_3x3_disguised(S2):

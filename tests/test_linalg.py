@@ -234,3 +234,36 @@ def test_independent_columns_is_greedy_add():
             span = linalg.Subspace(A.shape[0], p, A[:, :skip].T)
             greedy = [t for t in range(A.shape[1] - skip) if span.add(A[:, skip + t])]
             assert linalg.independent_columns(A, p, skip=skip) == greedy
+
+
+@st.composite
+def _stacks(draw):
+    """(A, b, p): a (B, m, n) stack with 0..8 matrices, 0..6 rows and 0..6
+    columns, entries anywhere in [-p, 2p).  Some stacks get a last row
+    that is a multiple of the first in every matrix, so rank-deficient
+    systems, and with b left free inconsistent ones, are common."""
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    B, m, n = (draw(st.integers(0, k)) for k in (8, 6, 6))
+    cells = draw(st.lists(st.integers(-p, 2 * p - 1), min_size=B * m * n,
+                          max_size=B * m * n))
+    A = np.array(cells, dtype=np.int64).reshape(B, m, n)
+    if m > 1 and draw(st.booleans()):
+        A[:, -1] = A[:, 0] * draw(st.integers(0, p - 1))
+    b = np.array(draw(st.lists(st.integers(-p, 2 * p - 1), min_size=B * m,
+                               max_size=B * m)), dtype=np.int64).reshape(B, m)
+    return A, b, p
+
+
+@settings(max_examples=300, deadline=None)
+@given(_stacks())
+def test_solve_stack_matches_solve(case):
+    A, b, p = case
+    B, m, n = A.shape
+    ok, X = linalg.solve_stack(A, b, p)
+    assert ok.shape == (B,) and X.shape == (B, n) and X.dtype == np.int64
+    for k in range(B):
+        x = linalg.solve(A[k], b[k], p)
+        assert ok[k] == (x is not None)
+        assert X[k].tobytes() == (np.zeros(n, dtype=np.int64) if x is None else x).tobytes()
+    ranks = linalg.rank_stack(A, p)
+    assert ranks.tolist() == [linalg.rank(A[k], p) for k in range(B)]

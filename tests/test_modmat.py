@@ -899,6 +899,22 @@ def test_general_linear_group_matches_product_loop(n, p, monkeypatch):
     assert len(ref) == modmat._gl_order(n, p)
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("p", [2, 3, 5, 7])
+def test_nonsingular_matches_determinant(n, p):
+    # seeded stacks, a quarter with a last row that is a multiple of the
+    # first; every 2x2 matrix over F_2 and F_3
+    rng = np.random.default_rng(10 * n + p)
+    S = rng.integers(0, p, size=(400, n, n))
+    S[::4, -1] = S[::4, 0] * rng.integers(0, p, size=(100, 1)) % p
+    if n == 2 and p <= 3:
+        S = np.array(list(itertools.product(range(p), repeat=4))).reshape(-1, 2, 2)
+    det = np.rint(np.linalg.det(S)).astype(np.int64) % p
+    mask = modmat._nonsingular(S, p)
+    assert mask.tolist() == (det != 0).tolist()
+    assert mask.any() and not mask.all()
+
+
 def test_is_equivalent_builds_correction_space_only_when_needed(S2, monkeypatch):
     calls = []
     build = modmat.correction_space
