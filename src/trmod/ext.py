@@ -150,12 +150,18 @@ def _unit_class_span_dim(ext: ExtSpace) -> int:
     single class of 1.  That class is the splice of the complete
     resolution (its pushout has free middle term); it counts when it is
     a cocycle and not a coboundary.
+
+    On gamma's inputs it is never a coboundary, so only the cocycle law
+    is tested.  There N = (u) is cyclic with u in m, so H1 is
+    multiplication by u on coker M and its image lies in m*coker M.
+    M is minimal, so im(lin M) lies in m*R^r and the degree-0
+    coordinate of R^1 is a cokernel coordinate that projection leaves
+    as it is: 0 on all of m*coker M, 1 on the class of 1.
     """
     A = ext.M.algebra
     one = np.zeros(A.dim, dtype=np.int64)
     one[0] = 1
-    w = ext.cok.project(one)
-    return int(ext.is_cocycle(w) and not ext.is_coboundary(w))
+    return int(ext.is_cocycle(ext.cok.project(one)))
 
 
 def _xyz_coeffs(A: GradedLocalAlgebra, g: RingElement):

@@ -3,9 +3,12 @@
 Matrices are int64 numpy arrays with entries reduced mod p.  Gaussian
 elimination runs on the rows as lists of Python ints, which the
 interpreter handles faster than numpy scalars and which cannot
-overflow.  A stack of many small systems (`rank_stack`, `solve_stack`)
-is eliminated at once instead, one numpy step per pivot for the whole
-stack.
+overflow.  The matrices it meets are small and mostly zero, so each
+pivot step updates the other rows only at the pivot row's nonzero
+columns, all at or right of the pivot; the zeros it skips would add
+nothing, so the result is that of the dense update.  A stack of many
+small systems (`rank_stack`, `solve_stack`) is eliminated at once
+instead, one numpy step per pivot for the whole stack.
 
 All subspaces are represented by their reduced row-echelon form (RREF),
 which is canonical: two generating sets span the same subspace iff their
@@ -40,15 +43,20 @@ def _rref_rows(rows: list[list[int]], n: int, p: int, _above: bool = True) -> li
             continue
         piv = rows[pr]
         rows[pr] = rows[r]
+        rows[r] = piv
+        # the pivot row is zero left of c: only its nonzeros from c on act
+        nz = [j for j in range(c, n) if piv[j]]
         if piv[c] != 1:
             iv = pow(piv[c], p - 2, p)
-            piv = [a * iv % p for a in piv]
-        rows[r] = piv
+            for j in nz:
+                piv[j] = piv[j] * iv % p
         for i in range(0 if _above else r + 1, m):
-            f = rows[i][c]
+            row = rows[i]
+            f = row[c]
             if f and i != r:
                 f = p - f
-                rows[i] = [(a + f * b) % p for a, b in zip(rows[i], piv)]
+                for j in nz:
+                    row[j] = (row[j] + f * piv[j]) % p
         pivots.append(c)
         r += 1
     return pivots

@@ -7,6 +7,17 @@ block).  Matrix equivalence uses the graded normal form: for minimal
 matrices M = M1 + M2 (degree-1 and degree-2 parts), ring equivalence is
 a GL_r(k) x GL_c(k) orbit problem on (M1, M2 mod {A*M1 + M1*B}) because
 m^3 = 0 kills every higher interaction term.
+
+The same grading shapes lin M itself.  For minimal M, in degree order
+lin M = [[0, 0, 0], [L1, 0, 0], [Q, Lam, 0]]: L1 is the (r*e) x c
+linear part, Lam the (r*s2) x (c*e) map from degree 1 to degree 2.
+When rank L1 = c, rank lin M = c + rank Lam and ker lin M =
+ker Lam + R_2^c, with the canonical kernel basis carried over column by
+column.  `graded_rank` and `graded_nullspace` eliminate only these
+blocks, and raise ValidationError on a non-minimal M, where the zero
+blocks are not zero; every rank and kernel of lin M on a resolution
+(`syzygy`, `has_m2_column`, the certifier's exactness ranks) goes
+through them.
 """
 
 from __future__ import annotations
@@ -151,6 +162,77 @@ def linearize(M: PresentationMatrix) -> np.ndarray:
     return lin.reshape(M.rows * A.dim, M.cols * A.dim)
 
 
+# -- graded blocks of lin M ----------------------------------------------------
+
+
+def _lin_block(M: PresentationMatrix, rows: slice, cols: slice) -> np.ndarray:
+    """The submatrix of lin M of basis rows `rows` and basis columns `cols`
+    of every block, for minimal M: `linearize` on a slice of the
+    multiplication operators, skipping the zero constant coefficients."""
+    A = M.algebra
+    ops = A._mult_ops[1:, rows, cols]
+    blk = np.einsum("ijs,skl->ikjl", M.entries[:, :, 1:], ops) % A.p
+    return blk.reshape(M.rows * ops.shape[1], M.cols * ops.shape[2])
+
+
+def _require_minimal(M: PresentationMatrix, what: str) -> None:
+    if not M.is_minimal:
+        raise ValidationError(f"{what} requires a minimal presentation matrix")
+
+
+def _linear_rank(M: PresentationMatrix) -> int:
+    """rank L1 of the (r*e) x c matrix of the columns' linear parts,
+    eliminated as its transpose: c rows."""
+    r, c, e = M.rows, M.cols, M.algebra.e
+    return linalg.rank(M.entries[:, :, 1:1 + e].transpose(1, 0, 2).reshape(c, r * e),
+                       M.algebra.p)
+
+
+def graded_rank(M: PresentationMatrix) -> int:
+    """rank(lin M) of a minimal M, eliminating only its nonzero blocks.
+
+    In graded coordinates lin M = [[0, 0, 0], [L1, 0, 0], [Q, Lam, 0]]:
+    entries in m send R_0 to R_1 + R_2 (the (r*e) x c linear part L1 and
+    the quadratic part Q), R_1 to R_2 (the (r*s2) x (c*e) block Lam) and
+    R_2 to 0.  When rank L1 = c the degree-0 columns are independent of
+    everything else, so rank(lin M) = c + rank Lam; otherwise the
+    (r*(e+s2)) x (c*(1+e)) nonzero block is eliminated.  Raises
+    ValidationError on a non-minimal M, where these blocks are not lin M.
+    """
+    _require_minimal(M, "graded_rank")
+    A = M.algebra
+    e, c = A.e, M.cols
+    if _linear_rank(M) == c:
+        return c + linalg.rank(_lin_block(M, slice(1 + e, None), slice(1, 1 + e)), A.p)
+    return linalg.rank(_lin_block(M, slice(1, None), slice(0, 1 + e)), A.p)
+
+
+def graded_nullspace(M: PresentationMatrix) -> np.ndarray:
+    """linalg.nullspace(linearize(M)) of a minimal M, byte for byte.
+
+    When rank L1 = c (see `graded_rank`), L1 x0 = 0 forces x0 = 0, so
+    ker lin M = ker Lam + R_2^c has zero degree-0 coordinates and is the
+    kernel of [Lam 0], the degree-2 rows and degree >= 1 columns.  A
+    column is free iff some kernel vector ends there, so the degree-0
+    columns are pivots and the other columns are free in lin M iff free
+    in [Lam 0]; the canonical basis of lin M (one vector per free
+    column) is that of [Lam 0], with zero degree-0 coordinates inserted.
+    Its zero degree-2 columns give the unit vectors of R_2^c in their
+    places.  Otherwise lin M is eliminated without its zero degree-0
+    rows.  Raises ValidationError on a non-minimal M.
+    """
+    _require_minimal(M, "graded_nullspace")
+    A = M.algebra
+    c, d, e = M.cols, A.dim, A.e
+    if _linear_rank(M) < c:
+        return linalg.nullspace(_lin_block(M, slice(1, None), slice(None)), A.p)
+    sub = linalg.nullspace(_lin_block(M, slice(1 + e, None), slice(1, None)), A.p)
+    k = sub.shape[1]
+    N = np.zeros((c, d, k), dtype=np.int64)
+    N[:, 1:] = sub.reshape(c, d - 1, k)
+    return N.reshape(c * d, k)
+
+
 # -- cokernel structure --------------------------------------------------------
 
 
@@ -160,6 +242,8 @@ def coker_length(M: PresentationMatrix) -> int:
         return 0
     if M.cols == 0:
         return M.rows * M.algebra.dim
+    if M.is_minimal:
+        return M.rows * M.algebra.dim - graded_rank(M)
     return M.rows * M.algebra.dim - linalg.rank(linearize(M), M.algebra.p)
 
 
@@ -274,7 +358,9 @@ def prune_presentation(M: PresentationMatrix):
             continue
         if c == 0:
             break
-        ker = linalg.nullspace(linearize(PresentationMatrix(A, ent)), p)
+        cur = PresentationMatrix(A, ent)
+        ker = (graded_nullspace(cur) if cur.is_minimal
+               else linalg.nullspace(linearize(cur), p))
         # units[j, t]: constant coefficient of column j in kernel vector t
         units = ker[::A.dim] % p
         hits = np.flatnonzero(units.any(axis=0))
@@ -284,6 +370,14 @@ def prune_presentation(M: PresentationMatrix):
     return PresentationMatrix(A, np.ascontiguousarray(ent)), free_rank
 
 
+@functools.cache
+def _inverses(p: int) -> np.ndarray:
+    """a^-1 mod p at index a of F_p^*, 0 at index 0 (read-only)."""
+    table = np.array([0] + [pow(a, p - 2, p) for a in range(1, p)], dtype=np.int64)
+    table.flags.writeable = False
+    return table
+
+
 def syzygy(M: PresentationMatrix) -> PresentationMatrix:
     """Minimal presentation of the first syzygy of coker M.
 
@@ -291,31 +385,34 @@ def syzygy(M: PresentationMatrix) -> PresentationMatrix:
     (Nakayama lifting from ker/m*ker); the output is deterministic for a
     given input, which the periodicity detector relies on.
     """
-    if not M.is_minimal:
-        raise ValidationError("syzygy requires a minimal presentation matrix")
+    _require_minimal(M, "syzygy")
     A = M.algebra
     d = A.dim
     c = M.cols
     if c == 0:
         return PresentationMatrix.zeros(A, 0, 0)
-    N = linalg.nullspace(linearize(M), A.p)  # (c*d, k) columns
+    N = graded_nullspace(M)  # (c*d, k) columns
     # Generators: the columns of N independent of m*ker and of the columns
     # before them, i.e. the pivot columns of [m*N | N] past the m*N block,
-    # whose column (i, t) is basis element i of m times kernel vector t.
-    # Every column lies in ker, and reading a kernel vector at N's free
-    # rows (column t of N is 1 at its last nonzero entry, free[t], and 0
-    # at the other free rows) gives its coordinates in the basis N, an
-    # isomorphism ker -> F_p^k; so [m*N[free] | I_k] has the same pivot
-    # columns, with k rows instead of c*d.
+    # whose column (i, t) is degree-1 basis element i times kernel vector
+    # t: m^2 ker = R_1 (R_1 ker), so these span m*ker.  Every column lies
+    # in ker, and reading a kernel vector at N's free rows (column t of N
+    # is 1 at its last nonzero entry, free[t], and 0 at the other free
+    # rows) gives its coordinates in the basis N, an isomorphism
+    # ker -> F_p^k; so [m*N[free] | I_k] has the same pivot columns, with
+    # k rows instead of c*d.  Its zero columns (degree-1 elements times
+    # degree-2 vectors) are never pivots and are dropped.
     free = c * d - 1 - (N[::-1] != 0).argmax(axis=0)
-    mN = np.einsum("iab,jbt->jait", A._mult_ops[1:], N.reshape(c, d, -1)).reshape(c * d, -1)
+    mN = np.einsum("iab,jbt->jait", A._mult_ops[1:1 + A.e],
+                   N.reshape(c, d, -1)).reshape(c * d, -1)[free]
+    mN = mN[:, mN.any(axis=0)]
     keep = linalg.independent_columns(
-        np.concatenate([mN[free], np.eye(N.shape[1], dtype=np.int64)], axis=1), A.p,
+        np.concatenate([mN, np.eye(N.shape[1], dtype=np.int64)], axis=1), A.p,
         skip=mN.shape[1])
     V = N[:, keep]
     # scale each generator so its first nonzero coordinate is 1
     lead = V[(V != 0).argmax(axis=0), range(len(keep))]
-    V = V * np.array([pow(int(a), A.p - 2, A.p) for a in lead], dtype=np.int64) % A.p
+    V = V * _inverses(A.p)[lead] % A.p
     return PresentationMatrix(A, V.reshape(c, d, len(keep)).transpose(0, 2, 1))
 
 
@@ -407,16 +504,15 @@ def has_m2_column(M: PresentationMatrix) -> bool:
     the columns (the kernel of lin M read at each column's unit
     coordinate), computed only when rank(L1) < c.
     """
-    if not M.is_minimal:
-        raise ValidationError("has_m2_column requires a minimal presentation matrix")
+    _require_minimal(M, "has_m2_column")
     A = M.algebra
     r, c = M.rows, M.cols
     if c == 0 or r == 0:
         return False
-    lin_rank = linalg.rank(M.linear_part().transpose(0, 2, 1).reshape(r * A.e, c), A.p)
+    lin_rank = _linear_rank(M)
     if lin_rank == c:
         return False
-    relations = linalg.nullspace(linearize(M), A.p)[::A.dim]
+    relations = graded_nullspace(M)[::A.dim]
     return lin_rank < c - linalg.rank(relations, A.p)
 
 

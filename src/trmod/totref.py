@@ -27,7 +27,6 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from . import linalg
 from .algebra import GradedLocalAlgebra, is_exact_zero_divisor, exact_zero_divisor_partner
 from .errors import BudgetExceededError, ValidationError
 from .modmat import (
@@ -35,9 +34,9 @@ from .modmat import (
     coker_length,
     column_reduce_to_lt,
     column_reduce_to_ut,
+    graded_rank,
     has_m2_column,
     is_equivalent,
-    linearize,
     prune_presentation,
     ring_matmul,
     syzygy,
@@ -69,13 +68,14 @@ class TRCertificate:
 
 def _dual_rank(d: PresentationMatrix) -> int:
     """rank(lin(d^T)), the rank of d's map on the dualized complex."""
-    return linalg.rank(linearize(d.transpose()), d.algebra.p)
+    return graded_rank(d.transpose())
 
 
 def _ranks(d: PresentationMatrix) -> tuple[int, int]:
     """(rank(lin d), rank(lin d^T)): exactness at a spot of the complex
-    and of its dual are equations between these ranks of its two maps."""
-    return linalg.rank(linearize(d), d.algebra.p), _dual_rank(d)
+    and of its dual are equations between these ranks of its two maps.
+    Both are graded ranks, so a non-minimal d raises ValidationError."""
+    return graded_rank(d), _dual_rank(d)
 
 
 def _exact_at(d_prev, d_next, ranks_prev, ranks_next) -> bool:

@@ -1,5 +1,6 @@
 import itertools
 
+import numpy as np
 import pytest
 
 from trmod.algebra import AlgebraSpec, build_algebra
@@ -88,6 +89,22 @@ def test_gamma_unit_class_criterion_exhaustive_f3(S3):
         rank = ext1(cyc(S3, d, f), cyc(S3, b, c)).rank
         drop = 1 if (b == (-d) % 3 and c == (-f) % 3) else 0
         assert gamma(cyc(S3, d, f), cyc(S3, b, c)) == rank - drop, (b, c, d, f)
+
+
+@pytest.mark.parametrize("p", [3, 5])
+def test_class_of_one_is_never_a_coboundary(p):
+    # gamma counts the class of 1 by its cocycle law alone: H1 is
+    # multiplication by u in m, so its image has degree-0 coordinate 0,
+    # and the class of 1 has degree-0 coordinate 1
+    A = build_algebra(AlgebraSpec.canonical_s(p))
+    one = np.zeros(A.dim, dtype=np.int64)
+    one[0] = 1
+    pairs = 0
+    for b, c, d, f in itertools.product(range(p), repeat=4):
+        ext = ext1(cyc(A, d, f), cyc(A, b, c))
+        assert not ext.is_coboundary(ext.cok.project(one)), (b, c, d, f)
+        pairs += 1
+    assert pairs == p ** 4  # 81 pairs over S:3, 625 over S:5
 
 
 def test_gamma_rejects_bad_input(S3):

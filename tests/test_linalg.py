@@ -149,8 +149,22 @@ def _matrices(draw, max_rows=8, max_cols=8):
     return A, p
 
 
+@st.composite
+def _sparse_matrices(draw, max_rows=12, max_cols=12):
+    """(A, p) with 0..12 rows, 1..12 columns and each entry nonzero with
+    probability (p - 1) / 4p: the kernel updates a row only at the pivot
+    row's nonzeros, and uniform draws are rarely sparse."""
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    m = draw(st.integers(0, max_rows))
+    n = draw(st.integers(1, max_cols))
+    cells = draw(st.lists(st.integers(0, 4 * p - 1), min_size=m * n, max_size=m * n))
+    A = np.array(cells, dtype=np.int64).reshape(m, n)
+    A[A >= p] = 0
+    return A, p
+
+
 @settings(max_examples=300, deadline=None)
-@given(_matrices())
+@given(st.one_of(_matrices(), _sparse_matrices()))
 def test_rref_rank_nullspace_match_reference(case):
     A, p = case
     R, pivots = linalg.rref(A, p)

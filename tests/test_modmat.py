@@ -1,8 +1,10 @@
+import functools
 import hashlib
 import itertools
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from trmod import modmat
 from trmod.algebra import AlgebraSpec, RingElement, build_algebra
@@ -18,6 +20,8 @@ from trmod.modmat import (
     divide,
     dual,
     endomorphism_space,
+    graded_nullspace,
+    graded_rank,
     has_m2_column,
     is_equivalent,
     is_indecomposable,
@@ -928,3 +932,74 @@ def test_is_equivalent_builds_correction_space_only_when_needed(S2, monkeypatch)
     mat = M(S2, [["x", "z"], ["y", "x"]])
     assert is_equivalent(mat, mat) is not None
     assert calls == [mat]
+
+
+# -- graded rank and kernel of lin M -------------------------------------------
+
+_GRADED_RINGS = {
+    "S:2": AlgebraSpec.canonical_s(2),
+    "S:3": AlgebraSpec.canonical_s(3),
+    "S:5": AlgebraSpec.canonical_s(5),
+    "S:7": AlgebraSpec.canonical_s(7),
+    "S:3 in x, a, b": AlgebraSpec(3, ["x", "a", "b"], ["x^2", "a^2", "b^2", "a*b"]),
+    "F_3[x,y]/(x^2,y^2)": AlgebraSpec(3, ["x", "y"], ["x^2", "y^2"]),  # e = 2, s2 = 1
+}
+
+
+@functools.cache
+def _graded_ring(name):
+    return build_algebra(_GRADED_RINGS[name])
+
+
+@st.composite
+def _minimal_matrices(draw):
+    """Minimal r x c matrices, 0 <= r, c <= 4, mostly zero or not: some
+    with linear entries only, some with a column in m^2 or two columns
+    with one linear part, so that rank L1 < c occurs."""
+    A = _graded_ring(draw(st.sampled_from(sorted(_GRADED_RINGS))))
+    r, c = draw(st.integers(0, 4)), draw(st.integers(0, 4))
+    density = draw(st.sampled_from([0.1, 0.3, 0.6, 1.0]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    ent = rng.integers(0, A.p, size=(r, c, A.dim)) * (rng.random((r, c, A.dim)) < density)
+    ent[:, :, 0] = 0
+    shape = draw(st.sampled_from(["any", "linear", "m2 column", "repeated linear part"]))
+    if shape == "linear":
+        ent[:, :, 1 + A.e:] = 0
+    elif c and shape == "m2 column":
+        ent[:, -1, 1:1 + A.e] = 0
+    elif c > 1 and shape == "repeated linear part":
+        ent[:, -1, 1:1 + A.e] = ent[:, 0, 1:1 + A.e]
+    return PresentationMatrix(A, ent)
+
+
+def _assert_graded_matches_linearize(mat):
+    p = mat.algebra.p
+    lin = linearize(mat)
+    assert graded_rank(mat) == linalg.rank(lin, p)
+    got, ref = graded_nullspace(mat), linalg.nullspace(lin, p)
+    assert got.dtype == ref.dtype and got.shape == ref.shape
+    assert got.tobytes() == ref.tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(_minimal_matrices())
+@example(PresentationMatrix.from_exprs(_graded_ring("S:2"), [["x"]]))  # L1 injective
+@example(PresentationMatrix.from_exprs(_graded_ring("S:2"), [["x", "x + x*y"]]))  # not
+@example(PresentationMatrix.zeros(_graded_ring("S:3"), 0, 3))
+@example(PresentationMatrix.zeros(_graded_ring("S:3"), 2, 0))
+def test_graded_rank_nullspace_match_linearize(mat):
+    # byte for byte what linalg gives on the whole lin M, on the matrix
+    # and on its first syzygy
+    _assert_graded_matches_linearize(mat)
+    if mat.cols:
+        syz = syzygy(mat)
+        if syz.is_minimal:
+            _assert_graded_matches_linearize(syz)
+
+
+@pytest.mark.parametrize("helper", [graded_rank, graded_nullspace])
+def test_graded_helpers_reject_non_minimal(S2, helper):
+    # the blocks are lin M only for entries in m; a unit entry must not
+    # give a wrong rank or kernel
+    with pytest.raises(ValidationError):
+        helper(M(S2, [["1 + x", "y"], ["z", "x"]]))

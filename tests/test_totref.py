@@ -205,7 +205,10 @@ def test_budget_stop_in_equivalence_search_is_no_match(S2, monkeypatch):
 
 def test_one_dual_rank_per_differential(S2, monkeypatch):
     # the loop carries rank(lin d^T) from one step to the next, and the
-    # window replay takes a forward and a dual rank of each matrix once
+    # window replay takes a forward and a dual rank of each matrix once;
+    # each is a graded rank: rank L1 on the n x (n*e) transpose of the
+    # linear part, then, with L1 injective, rank Lam on the (n*s2) x (n*e)
+    # degree-1 block
     import numpy as np
     from trmod import linalg, totref
     calls = []  # (phase, shape of the ranked matrix)
@@ -226,9 +229,13 @@ def test_one_dual_rank_per_differential(S2, monkeypatch):
     mat = M(S2, [["x", "z"], ["y", "x"]])
     cert = check_totally_reflexive(mat)
     assert cert.certified and (cert.preperiod, cert.period) == (1, 2)
-    side = mat.rows * S2.dim
-    # has_m2_column ranks (r*e) x c linear parts; every square rank of
-    # side n*dim in the loop is the dual rank of one differential
+    n, e, s2 = mat.rows, S2.e, S2.s2
+    linear, lam = (n, n * e), (n * s2, n * e)
+    # no rank eliminates a whole n*dim square of lin d
+    assert (n * S2.dim, n * S2.dim) not in [shape for _, shape in calls]
+    # has_m2_column, syzygy and prune rank only linear parts; every Lam
+    # rank in the loop is the dual rank of one differential
     loop = [shape for ph, shape in calls if ph == "loop"]
-    assert loop.count((side, side)) == len(cert.betti) == 4
-    assert [shape for ph, shape in calls if ph == "replay"] == [(side, side)] * (2 * cert.period)
+    assert set(loop) == {linear, lam}
+    assert loop.count(lam) == len(cert.betti) == 4
+    assert [shape for ph, shape in calls if ph == "replay"] == [linear, lam] * (2 * cert.period)
