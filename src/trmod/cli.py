@@ -194,11 +194,14 @@ def _cmd_filtrate(args, A):
 def _cmd_classify(args, A):
     if args.size != 2:
         raise ValidationError("only --size 2 classification is implemented")
-    if args.cyclic:
-        mats = enumerate_cyclic_tr(A)
-        return {"cyclic": [dump_matrix(m) for m in mats]}, EXIT_OK
-    table = classify_ut2(A, budget=args.budget)
-    swap = swap_isomorphism_check(A)
+    # main has warned of a Gorenstein ring already, unless told not to
+    with warnings.catch_warnings():
+        warnings.filterwarnings("ignore", message="ring is Gorenstein")
+        if args.cyclic:
+            mats = enumerate_cyclic_tr(A)
+            return {"cyclic": [dump_matrix(m) for m in mats]}, EXIT_OK
+        table = classify_ut2(A, budget=args.budget)
+        swap = swap_isomorphism_check(A)
     payload = {
         "characteristic": table.characteristic,
         "class_count": len(table.classes),

@@ -674,30 +674,27 @@ def is_equivalent(
     passing = (P0 for a in range(0, len(GLr), block) for P0 in GLr[a:a + block][
         match[row_of[a:a + block], :, rows, :].all(1).any(1).all(1)])
     checked = 0
+    # column j of Q0 solves L*q = B1[:, j], for L the (r*e) x c matrix of
+    # P0*A1: one elimination of [L | B1] gives each column's canonical
+    # solution, and Q0 = part + N*Z runs over all of them, Z read row by
+    # row in the order of the canonical solutions of the (r*c*e) x c^2
+    # system on the entries of Q0
+    B1cols = B1.transpose(0, 2, 1).reshape(r * alg.e, c)
     for P0 in passing:
-        # Solve P0 * A1 * Q0 = B1 for the scalar matrix Q0 (linear system).
-        lhs = np.einsum("il,lje->ije", P0, A1) % p  # (r, c, e)
-        # unknowns Q0[l, j']: coefficient of Q0[l, j'] in equation (i, j, e)
-        # is lhs[i, l, e] * delta_{j j'}
-        Asys = np.einsum("ilf,jk->ijflk", lhs, np.eye(c, dtype=np.int64)).reshape(
-            r * c * alg.e, c * c)
-        bsys = B1.reshape(-1)
-        part = linalg.solve(Asys, bsys, p)
-        if part is None:
+        L = np.einsum("il,ljf->ifj", P0, A1).reshape(r * alg.e, c) % p
+        R, pivots = linalg.rref(np.concatenate([L, B1cols], axis=1), p)
+        if pivots and pivots[-1] >= c:
             continue
-        null = linalg.nullspace(Asys, p)
-        n_sol = p ** null.shape[1]
-        checked += n_sol
+        part = np.zeros((c, c), dtype=np.int64)
+        part[pivots] = R[:len(pivots), c:]
+        null = linalg.nullspace(L, p)
+        checked += p ** null.size
         if checked > budget:
             raise BudgetExceededError(
                 "equivalence search budget exceeded", required=checked, budget=budget
             )
-        for combo in itertools.product(range(p), repeat=null.shape[1]):
-            q = part.copy()
-            for t, cf in enumerate(combo):
-                if cf:
-                    q = (q + cf * null[:, t]) % p
-            Q0 = q.reshape(c, c)
+        for combo in itertools.product(range(p), repeat=null.size):
+            Q0 = (part + null @ np.array(combo, dtype=np.int64).reshape(-1, c)) % p
             if not linalg.det_nonzero(Q0, p):
                 continue
             if corr is None:
@@ -779,39 +776,24 @@ def endomorphism_space(M: PresentationMatrix):
 
 
 def _charpoly_coeffs(Mt: np.ndarray, p: int) -> np.ndarray:
-    """Elementary symmetric functions e_1..e_n of the eigenvalues mod p.
+    """Elementary symmetric functions e_1..e_n of the eigenvalues mod p,
+    at indices 1..n (index 0 holds e_0 = 1).
 
-    Permutation expansion of det(xI - M); exact over F_p and cheap for
-    the small matrices this is applied to (n <= embedding sizes).
+    Newton's identities k*e_k = sum_{i=1..k} (-1)^(i-1) e_{k-i} tr(M^i),
+    run over the integers: the e_k of an integer matrix are integers, so
+    each division by k is exact, and they reduce mod p to those of M over
+    F_p.  O(n^4) operations.
     """
     n = Mt.shape[0]
-    total = np.zeros(n + 1, dtype=np.int64)  # ascending powers of x
-    for perm in itertools.permutations(range(n)):
-        sign = 1
-        seen = [False] * n
-        for i in range(n):
-            if seen[i]:
-                continue
-            length = 0
-            j = i
-            while not seen[j]:
-                seen[j] = True
-                j = perm[j]
-                length += 1
-            if length % 2 == 0:
-                sign = -sign
-        poly = np.array([1], dtype=np.int64)
-        for i in range(n):
-            factor = np.array(
-                [(-Mt[i, perm[i]]) % p, 1 if perm[i] == i else 0],
-                dtype=np.int64)
-            poly = np.convolve(poly, factor) % p
-        total[: poly.shape[0]] = (total[: poly.shape[0]] + sign * poly) % p
-    # det(xI - M): coefficient of x^{n-j} is (-1)^j e_j
-    e = np.zeros(n + 1, dtype=np.int64)
-    for j in range(1, n + 1):
-        e[j] = ((-1) ** j * total[n - j]) % p
-    return e
+    X = np.asarray(Mt).astype(object) % p
+    power = np.identity(n, dtype=object)
+    traces, e = [], [1]
+    for k in range(1, n + 1):
+        power = power.dot(X)
+        traces.append(power.trace())
+        e.append(sum((-1) ** (i - 1) * e[k - i] * traces[i - 1]
+                     for i in range(1, k + 1)) // k)
+    return np.array([x % p for x in e], dtype=np.int64)
 
 
 def _radical_of_matrix_algebra(basis: np.ndarray, p: int):
@@ -829,47 +811,47 @@ def _radical_of_matrix_algebra(basis: np.ndarray, p: int):
     cur = basis % p
     i = 0
     while p ** i <= n and cur.shape[0]:
-        k = cur.shape[0]
-        T = np.zeros((k, k), dtype=np.int64)
-        power = p ** i
-        for s in range(k):
-            for j in range(k):
-                prod = cur[s] @ cur[j] % p
-                if power == 1:
-                    T[j, s] = int(np.trace(prod)) % p
-                else:
-                    T[j, s] = int(_charpoly_coeffs(prod, p)[power])
-        N = linalg.nullspace(T, p)
-        cur = (np.tensordot(N.T, cur, axes=(1, 0)) % p
-               if N.shape[1] else np.zeros((0, n, n), dtype=np.int64))
+        prods = np.einsum("sab,jbc->jsac", cur, cur) % p  # [j, s]: cur[s] @ cur[j]
+        T = (np.trace(prods, axis1=2, axis2=3) % p if i == 0 else np.array(
+            [[_charpoly_coeffs(x, p)[p ** i] for x in row] for row in prods], dtype=np.int64))
+        cur = np.tensordot(linalg.nullspace(T, p).T, cur, axes=(1, 0)) % p
         i += 1
-    rad = cur if cur.shape[0] else np.zeros((0, n, n), dtype=np.int64)
-    span = linalg.Subspace(n * n, p, rad.reshape(rad.shape[0], n * n))
-    for b in basis:
-        for r in rad:
-            for prod in (b @ r % p, r @ b % p):
-                if not span.contains(prod.reshape(-1)):
-                    return None
-    layer = rad
+    span = linalg.Subspace(n * n, p, cur.reshape(-1, n * n))
+    sides = np.concatenate([np.einsum("bij,rjk->brik", basis, cur),
+                            np.einsum("rij,bjk->brik", cur, basis)]) % p
+    if span.reduce(sides.reshape(-1, n * n)).any():
+        return None
+    layer = cur
     for _ in range(n + 2):
         if layer.shape[0] == 0:
-            return rad
-        nxt = linalg.Subspace(n * n, p, [(a @ r % p).reshape(-1)
-                                         for a in layer for r in rad])
-        layer = (nxt.basis.reshape(-1, n, n)
-                 if nxt.dim else np.zeros((0, n, n), dtype=np.int64))
+            return cur
+        prods = np.einsum("aij,rjk->arik", layer, cur) % p
+        layer = linalg.Subspace(n * n, p, prods.reshape(-1, n * n)).basis.reshape(-1, n, n)
     return None
 
 
-def is_indecomposable(M: PresentationMatrix, budget: int = 1 << 22):
+# the largest quotient E/J that is_indecomposable sweeps, in elements
+_QUOTIENT_BUDGET = 1 << 22
+
+
+def is_indecomposable(M: PresentationMatrix):
     """Idempotent search in End(coker M) through its semisimple quotient.
 
     Returns (True, None) or (False, idempotent_matrix).  A nilpotent
     ideal J of E = End(coker M) contains no idempotents, and idempotents
     lift along it, so E has a nontrivial idempotent iff E/J does; the
     quotient is small enough to sweep exhaustively.  A found idempotent
-    is lifted back to an exact one and re-verified, so both answers are
-    certificates.
+    is lifted back to an exact one and re-verified.  "Indecomposable"
+    carries no certificate.
+
+    Everything before the lift runs in the top algebra pi(E), the image
+    of pi: E -> M_n0(F_p), the action on V/mV (n0 = M.rows).  pi is exact
+    here: phi in ker pi maps V into mV, and phi(mV) = m phi(V) since phi
+    is module-linear, so m^3 = 0 gives phi^3 = 0.  A nilpotent ideal lies
+    in the Jacobson radical, so J(E) = pi^-1(J(pi E)) and
+    E/J(E) = pi E / J(pi E).  The complement of J picked from E's basis,
+    the structure constants of E/J and the coordinates of 1 are then
+    each unique, and equal those of the q x q computation.
     """
     if not M.is_minimal:
         raise ValidationError("indecomposability requires a minimal matrix")
@@ -882,72 +864,45 @@ def is_indecomposable(M: PresentationMatrix, budget: int = 1 << 22):
     nb = basis.shape[0]
     if nb == 1:
         return True, None  # only scalars
-    # Nilpotent ideal K = {phi : phi(V) <= mV}: phi is module-linear, so
-    # phi(mV) = m phi(V) and m^3 = 0 gives phi^3 = 0.  E/K embeds in the
-    # small matrix algebra End(V / mV), whose radical is computed with the
-    # characteristic-p chain and verified, then pulled back to E.  M is
-    # minimal, so im(lin M) lies in m R^r: the r degree-0 coordinates are
-    # all in cok.coords, and mV is the span of the others.
+    # M is minimal, so im(lin M) lies in m R^r: the r degree-0
+    # coordinates are all in cok.coords, and mV is the span of the others.
     top = [k for k, c in enumerate(cok.coords) if c % A.dim == 0]
     n0 = len(top)
-    # column (i, j) of b's action on V / mV, one column per basis element b
-    act = (basis[:, top][:, :, top] % p).reshape(nb, n0 * n0).T
-    bar = linalg.independent_columns(act, p)
-    # independent induced operators on V / mV and matching preimages in E
-    bar_mats = [act[:, t].reshape(n0, n0) for t in bar]
-    bar_lifts = [basis[t] % p for t in bar]
-    Kcoords = linalg.nullspace(act, p)
-    K_ops = (np.tensordot(Kcoords.T, basis, axes=(1, 0)) % p
-             if Kcoords.shape[1] else np.zeros((0, q, q), dtype=np.int64))
-    bar_basis = (np.stack(bar_mats) if bar_mats
-                 else np.zeros((0, n0, n0), dtype=np.int64))
-    bar_rad = _radical_of_matrix_algebra(bar_basis, p)
-    if bar_rad is None:
-        # unverifiable chain: fall back to the zero ideal upstairs; the
+    act = basis[:, top][:, :, top] % p  # pi of each basis element
+    flat = act.reshape(nb, n0 * n0)
+    rad = _radical_of_matrix_algebra(act[linalg.independent_columns(flat.T, p)], p)
+    if rad is None:
+        # unverifiable chain: take J = ker pi, which is nilpotent; the
         # quotient sweep below stays correct, just larger
-        bar_rad = np.zeros((0, n0, n0), dtype=np.int64)
-    lifted = []
-    if bar_rad.shape[0]:
-        barT = act[:, bar]
-        stack_lifts = np.stack(bar_lifts)
-        for r in bar_rad:
-            sol = linalg.solve(barT, r.reshape(-1) % p, p)
-            if sol is None:
-                raise AssertionError("radical element outside the image algebra")
-            lifted.append(np.einsum("t,tij->ij", sol, stack_lifts) % p)
-    rad_vecs = ([k.reshape(-1) for k in K_ops]
-                + [l.reshape(-1) for l in lifted])
-    span = linalg.Subspace(q * q, p,
-                           np.stack(rad_vecs) if rad_vecs else None)
-    m = span.dim
-    rad_basis = span.basis
-    flat = basis.reshape(nb, q * q) % p
-    comp = [flat[t].reshape(q, q) for t in linalg.independent_columns(
-        np.concatenate([rad_basis, flat]).T, p, skip=m)]
+        rad = np.zeros((0, n0, n0), dtype=np.int64)
+    m = rad.shape[0]
+    rad = rad.reshape(m, n0 * n0)
+    # basis elements outside J + span(earlier ones): a basis of E/J
+    comp = linalg.independent_columns(np.concatenate([rad, flat]).T, p, skip=m)
     mc = len(comp)
     if mc == 0:
         raise AssertionError("identity endomorphism lost in the quotient")
     if mc == 1:
         return True, None  # E/J is one-dimensional: E is local
     total = p ** mc
-    if total > budget:
+    if total > _QUOTIENT_BUDGET:
         raise BudgetExceededError(
             "endomorphism quotient enumeration budget exceeded",
-            required=total, budget=budget,
+            required=total, budget=_QUOTIENT_BUDGET,
         )
-    full = np.concatenate(
-        [rad_basis] + [c.reshape(1, -1) for c in comp]) % p
-    def quot_coords(x):
-        sol = linalg.solve(full.T, x.reshape(-1) % p, p)
-        if sol is None:
-            raise AssertionError("element outside the endomorphism algebra")
-        return sol[m:]
-    struct = np.zeros((mc, mc, mc), dtype=np.int64)
-    for a in range(mc):
-        for b in range(mc):
-            struct[a, b] = quot_coords(comp[a] @ comp[b] % p)
-    ident = np.eye(q, dtype=np.int64)
-    one_q = quot_coords(ident)
+    # coordinates on [rad; comp] of every product comp[a] @ comp[b] and of
+    # the identity, from one elimination: the columns of full are
+    # independent, so each solution is unique
+    products = np.einsum("aij,bjk->abik", act[comp], act[comp])
+    rhs = np.concatenate([products.reshape(mc * mc, n0 * n0),
+                          np.eye(n0, dtype=np.int64).reshape(1, -1)])
+    full = np.concatenate([rad, flat[comp]])
+    R, pivots = linalg.rref(np.concatenate([full, rhs]).T, p)
+    if pivots != list(range(m + mc)):
+        raise AssertionError("element outside the endomorphism algebra")
+    coords = R[m:m + mc, m + mc:]
+    struct = coords[:, :-1].T.reshape(mc, mc, mc)
+    one_q = coords[:, -1]
     found = None
     for combo in itertools.product(range(p), repeat=mc):
         x = np.array(combo, dtype=np.int64)
@@ -960,13 +915,14 @@ def is_indecomposable(M: PresentationMatrix, budget: int = 1 << 22):
     if found is None:
         return True, None
     # lift the quotient idempotent to an exact one (error squares each step)
-    e = sum(int(c) * comp[t] for t, c in enumerate(found)) % p
+    e = np.einsum("t,tij->ij", found, basis[comp]) % p
     for _ in range(2 * q + 4):
         if ((e @ e) % p == e).all():
             break
         e = (3 * (e @ e) - 2 * (e @ e @ e)) % p
     if not ((e @ e) % p == e).all():
         raise AssertionError("idempotent lifting failed to converge")
+    ident = np.eye(q, dtype=np.int64)
     if not e.any() or (e == ident).all():
         raise AssertionError("lifted idempotent degenerated")
     return False, e

@@ -254,7 +254,7 @@ def _try_certify(ds, betti, log, i, P=None):
     )
 
 
-def check_ut_tr(M: PresentationMatrix, cross_validate: bool = False):
+def check_ut_tr(M: PresentationMatrix):
     """Upper-triangular fast path: totally reflexive iff every diagonal
     entry is an exact zero divisor.
 
@@ -285,12 +285,6 @@ def check_ut_tr(M: PresentationMatrix, cross_validate: bool = False):
             }
         )
         verdict = verdict and ok
-    if cross_validate:
-        cert = check_totally_reflexive(M)
-        if cert.verdict != INCONCLUSIVE and cert.certified != verdict:
-            raise AssertionError(
-                "diagonal criterion and resolution certificate disagree"
-            )
     return verdict, evidence
 
 

@@ -1,6 +1,11 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
+
+import trmod
 
 from trmod.algebra import AlgebraSpec, build_algebra
 from trmod.cli import certificate_to_dict, main
@@ -75,6 +80,24 @@ def test_gorenstein_warning(capsys, tmp_path):
     code = main(["--json", "--allow-gorenstein", "ring", "check", ring])
     captured = capsys.readouterr()
     assert "Gorenstein" not in captured.err
+
+
+def test_classify_gorenstein_warns_once(tmp_path):
+    # k[x, y]/(x^2, y^2) over F_3: one warning on stderr, none when the
+    # flag silences it; the library's own warning never reaches it
+    ring = write_json(tmp_path / "gor.json", {
+        "characteristic": 3,
+        "variables": ["x", "y"],
+        "relations": ["x^2", "y^2"],
+    })
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(trmod.__file__)))
+    for flags, warnings in (([], 1), (["--allow-gorenstein"], 0)):
+        proc = subprocess.run(
+            [sys.executable, "-m", "trmod.cli", *flags, "--json", "classify", ring, "--cyclic"],
+            capture_output=True, text=True, env=env, check=False)
+        assert proc.returncode == 0
+        assert json.loads(proc.stdout)["result"]["cyclic"]
+        assert proc.stderr.count("Gorenstein") == warnings
 
 
 def test_ring_beyond_int64_bound_is_invalid(capsys):

@@ -8,6 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from trmod import modmat
 from trmod.algebra import AlgebraSpec, RingElement, build_algebra
+from trmod.classify import _ut2, enumerate_ezd, superdiagonal_candidates
 from trmod.errors import BudgetExceededError, ValidationError
 from trmod.modmat import (
     CokernelSpace,
@@ -781,6 +782,43 @@ def test_is_equivalent_filter_matches_full_scan(p, seed):
     assert found and missing and budget_stops
 
 
+def _degenerate_pairs(p, seed):
+    """Seeded P*M*Q disguises whose linear part has a kernel: the
+    entries of M lie in m^2, or all its columns repeat one linear part,
+    so Q0 runs over an affine space of dimension at least 2."""
+    A = build_algebra(AlgebraSpec.canonical_s(p))
+    rng = np.random.default_rng(seed)
+    shapes = [(1, 2), (2, 2)] + ([(1, 3), (2, 3)] if p == 2 else [])
+    for k in range(4 * len(shapes)):
+        r, c = shapes[k % len(shapes)]
+        ent = rng.integers(0, p, size=(r, c, A.dim))
+        ent[:, :, 0] = 0
+        ent[:, :, 1:1 + A.e] = 0 if k % 2 else ent[:, :1, 1:1 + A.e]
+        mat = PresentationMatrix(A, ent)
+        P, Q = (rng.integers(0, p, size=(n, n, A.dim)) for n in (r, c))
+        while not (linalg.det_nonzero(P[:, :, 0], p) and linalg.det_nonzero(Q[:, :, 0], p)):
+            P[:, :, 0] = rng.integers(0, p, size=(r, r))
+            Q[:, :, 0] = rng.integers(0, p, size=(c, c))
+        yield mat, PresentationMatrix(A, ring_matmul(A, ring_matmul(A, P, mat.entries), Q))
+
+
+@pytest.mark.parametrize("p, seed", [(2, 51), (3, 52)])
+def test_is_equivalent_tries_scalar_parts_in_kronecker_order(p, seed, monkeypatch):
+    # with every quadratic step failing, both searches try every
+    # invertible (P0, Q0): the same pairs, in the same order
+    tried = []
+    monkeypatch.setattr(modmat, "_try_quadratic",
+                        lambda M1, M2, P0, Q0, *rest: tried.append((P0.tobytes(), Q0.tobytes())))
+    for M1, M2 in _degenerate_pairs(p, seed):
+        assert is_equivalent(M1, M2) is None
+        got = tried[:]
+        tried.clear()
+        assert _scan_is_equivalent(M1, M2) is None
+        assert got == tried
+        assert len(got) > len({P0 for P0, _ in got})  # several Q0 for one P0
+        tried.clear()
+
+
 def test_is_equivalent_skips_unsolvable_linear_parts(S2, monkeypatch):
     # no P0 lets any Q0, singular or not, carry one linear part to the
     # other, so the table rejects every P0 before the linear solve
@@ -1003,3 +1041,192 @@ def test_graded_helpers_reject_non_minimal(S2, helper):
     # give a wrong rank or kernel
     with pytest.raises(ValidationError):
         helper(M(S2, [["1 + x", "y"], ["z", "x"]]))
+
+
+# -- indecomposability in the top algebra ---------------------------------------
+
+
+def _permutation_charpoly(Mt, p):
+    """e_1..e_n of the eigenvalues mod p, at indices 1..n, from the
+    expansion of det(xI - M) over all n! permutations."""
+    n = Mt.shape[0]
+    total = np.zeros(n + 1, dtype=np.int64)  # ascending powers of x
+    for perm in itertools.permutations(range(n)):
+        sign = 1
+        seen = [False] * n
+        for i in range(n):
+            j, length = i, 0
+            while not seen[j]:
+                seen[j] = True
+                j = perm[j]
+                length += 1
+            if length and length % 2 == 0:
+                sign = -sign
+        poly = np.array([1], dtype=np.int64)
+        for i in range(n):
+            factor = np.array([(-Mt[i, perm[i]]) % p, 1 if perm[i] == i else 0],
+                              dtype=np.int64)
+            poly = np.convolve(poly, factor) % p
+        total[: poly.shape[0]] = (total[: poly.shape[0]] + sign * poly) % p
+    # det(xI - M): coefficient of x^(n-j) is (-1)^j e_j
+    return np.array([1] + [(-1) ** j * total[n - j] % p for j in range(1, n + 1)],
+                    dtype=np.int64)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 8191])
+def test_charpoly_newton_matches_permutation_expansion(p):
+    rng = np.random.default_rng(p)
+    for n in range(1, 7):
+        cases = [rng.integers(0, p, size=(n, n)) for _ in range(4)]
+        cases += [np.zeros((n, n), dtype=np.int64), np.full((n, n), p - 1),
+                  np.triu(rng.integers(0, p, size=(n, n)), 1)]  # nilpotent
+        for Mt in cases:
+            assert _same(modmat._charpoly_coeffs(Mt, p), _permutation_charpoly(Mt, p))
+
+
+def _loop_radical(basis, p):
+    """The radical chain with one product, trace and charpoly at a time,
+    and one membership test per product."""
+    n = basis.shape[1]
+    cur = basis % p
+    i = 0
+    while p ** i <= n and cur.shape[0]:
+        k = cur.shape[0]
+        T = np.zeros((k, k), dtype=np.int64)
+        for s in range(k):
+            for j in range(k):
+                prod = cur[s] @ cur[j] % p
+                T[j, s] = (int(np.trace(prod)) if i == 0
+                           else int(_permutation_charpoly(prod, p)[p ** i])) % p
+        N = linalg.nullspace(T, p)
+        cur = (np.tensordot(N.T, cur, axes=(1, 0)) % p
+               if N.shape[1] else np.zeros((0, n, n), dtype=np.int64))
+        i += 1
+    rad = cur
+    span = linalg.Subspace(n * n, p, rad.reshape(rad.shape[0], n * n))
+    for b in basis:
+        for r in rad:
+            for prod in (b @ r % p, r @ b % p):
+                if not span.contains(prod.reshape(-1)):
+                    return None
+    layer = rad
+    for _ in range(n + 2):
+        if layer.shape[0] == 0:
+            return rad
+        nxt = linalg.Subspace(n * n, p, [(a @ r % p).reshape(-1)
+                                         for a in layer for r in rad])
+        layer = (nxt.basis.reshape(-1, n, n)
+                 if nxt.dim else np.zeros((0, n, n), dtype=np.int64))
+    return None
+
+
+def _q_level_is_indecomposable(M, budget=1 << 22):
+    """is_indecomposable with J(E) and E/J built in q x q operator space:
+    J = ker pi plus a lift of each radical element of the top algebra,
+    spanned in F_p^(q*q), and one solve per structure constant."""
+    A, p = M.algebra, M.algebra.p
+    cok, basis = endomorphism_space(M)
+    q = cok.length
+    nb = basis.shape[0]
+    if nb == 1:
+        return True, None
+    top = [k for k, c in enumerate(cok.coords) if c % A.dim == 0]
+    n0 = len(top)
+    act = (basis[:, top][:, :, top] % p).reshape(nb, n0 * n0).T
+    bar = linalg.independent_columns(act, p)
+    Kcoords = linalg.nullspace(act, p)
+    K_ops = (np.tensordot(Kcoords.T, basis, axes=(1, 0)) % p
+             if Kcoords.shape[1] else np.zeros((0, q, q), dtype=np.int64))
+    bar_rad = _loop_radical(np.stack([act[:, t].reshape(n0, n0) for t in bar]), p)
+    if bar_rad is None:
+        bar_rad = np.zeros((0, n0, n0), dtype=np.int64)
+    lifted = []
+    for r in bar_rad:
+        sol = linalg.solve(act[:, bar], r.reshape(-1), p)
+        assert sol is not None
+        lifted.append(np.einsum("t,tij->ij", sol, basis[bar] % p) % p)
+    rad_vecs = [k.reshape(-1) for k in K_ops] + [l.reshape(-1) for l in lifted]
+    span = linalg.Subspace(q * q, p, np.stack(rad_vecs) if rad_vecs else None)
+    m = span.dim
+    flat = basis.reshape(nb, q * q) % p
+    comp = [flat[t].reshape(q, q) for t in linalg.independent_columns(
+        np.concatenate([span.basis, flat]).T, p, skip=m)]
+    mc = len(comp)
+    if mc == 1:
+        return True, None
+    if p ** mc > budget:
+        raise BudgetExceededError("exceeded", required=p ** mc, budget=budget)
+    full = np.concatenate([span.basis] + [c.reshape(1, -1) for c in comp]) % p
+
+    def quot_coords(x):
+        sol = linalg.solve(full.T, x.reshape(-1) % p, p)
+        assert sol is not None
+        return sol[m:]
+
+    struct = np.zeros((mc, mc, mc), dtype=np.int64)
+    for a in range(mc):
+        for b in range(mc):
+            struct[a, b] = quot_coords(comp[a] @ comp[b] % p)
+    ident = np.eye(q, dtype=np.int64)
+    one_q = quot_coords(ident)
+    for combo in itertools.product(range(p), repeat=mc):
+        x = np.array(combo, dtype=np.int64)
+        if x.any() and not (x == one_q).all() and (
+                np.einsum("a,b,abk->k", x, x, struct) % p == x).all():
+            break
+    else:
+        return True, None
+    e = sum(int(c) * comp[t] for t, c in enumerate(x)) % p
+    for _ in range(2 * q + 4):
+        if ((e @ e) % p == e).all():
+            break
+        e = (3 * (e @ e) - 2 * (e @ e @ e)) % p
+    assert ((e @ e) % p == e).all() and e.any() and not (e == ident).all()
+    return False, e
+
+
+def _diagonal(A, n, entry="x"):
+    return M(A, [[entry if i == j else "0" for j in range(n)] for i in range(n)])
+
+
+def _top_algebra_cases():
+    """The 36 classification triples over S:2, seeded S:2 inputs up to
+    3 x 3 (a third block diagonal, a third with linear entries only),
+    and diag(x, x), diag(x, x, x) over S:3."""
+    S2, S3 = (build_algebra(AlgebraSpec.canonical_s(p)) for p in (2, 3))
+    ezd = sorted((pair.a for pair in enumerate_ezd(S2)), key=lambda g: g.order_key())
+    for u in ezd:
+        for t in ezd:
+            for a in superdiagonal_candidates(S2):
+                yield _ut2(S2, u, t, a)
+    rng = np.random.default_rng(41)
+    shapes = [(3, 3), (3, 2), (2, 3), (3, 1), (2, 2)]
+    for k in range(60):
+        r, c = shapes[k % len(shapes)]
+        ent = rng.integers(0, 2, size=(r, c, S2.dim))
+        ent[:, :, 0] = 0
+        if k % 3 == 1:
+            ent[:1, 1:] = ent[1:, :1] = 0
+        elif k % 3 == 2:
+            ent[:, :, 1 + S2.e:] = 0
+        yield PresentationMatrix(S2, ent)
+    yield _diagonal(S3, 2)
+    yield _diagonal(S3, 3)
+
+
+def test_top_algebra_matches_q_level_quotient():
+    decomposable = 0
+    for mat in _top_algebra_cases():
+        indec, idem = is_indecomposable(mat)
+        ref_indec, ref_idem = _q_level_is_indecomposable(mat)
+        assert indec == ref_indec
+        assert (idem is None) == (ref_idem is None)
+        assert idem is None or _same(idem, ref_idem)
+        decomposable += not indec
+    assert decomposable >= 10
+
+
+def test_is_indecomposable_budget_stop(S3):
+    with pytest.raises(BudgetExceededError) as exc:
+        is_indecomposable(_diagonal(S3, 4))
+    assert exc.value.required == 3 ** 16

@@ -111,10 +111,14 @@ def test_check_ut_tr_rejects_non_ut(S2):
 
 
 def test_check_ut_tr_cross_validation(S2):
-    ok, _ = check_ut_tr(M(S2, [["x", "z"], ["0", "x + y"]]), cross_validate=True)
-    assert ok
-    bad, _ = check_ut_tr(M(S2, [["y", "x"], ["0", "x"]]), cross_validate=True)
-    assert not bad
+    # the diagonal criterion agrees with the resolution certificate
+    for rows, expected in (([["x", "z"], ["0", "x + y"]], True),
+                           ([["y", "x"], ["0", "x"]], False)):
+        mat = M(S2, rows)
+        verdict, _ = check_ut_tr(mat)
+        cert = check_totally_reflexive(mat)
+        assert cert.verdict != INCONCLUSIVE
+        assert verdict == cert.certified == expected
 
 
 def test_complete_resolution_self_paired(S2):
