@@ -33,10 +33,10 @@ from .modmat import (
     correction_space,
     divide,
     general_linear_group,
+    gl_vector_numbers,
     is_equivalent,
     ring_identity,
     syzygy,
-    vector_numbers,
 )
 
 
@@ -220,8 +220,8 @@ def find_ut_form(M: PresentationMatrix):
     # and v column lo_j[t] of Q0; cleared[t, u] marks the Q0 that make it
     # vanish for that u
     zero = ~bilinear_table(A1, p).any(axis=2)
-    cleared = zero[:, vector_numbers(GL.transpose(0, 2, 1), p)[:, lo_j]].transpose(2, 0, 1)
-    row_of = vector_numbers(GL, p)[:, lo_i]
+    cleared = zero[:, gl_vector_numbers(n, p, columns=True)[:, lo_j]].transpose(2, 0, 1)
+    row_of = gl_vector_numbers(n, p)[:, lo_i]
     terms = np.arange(len(lo_i))
     block = max(1, _GL_CHUNK // len(GL))  # P0 per lookup
     chunk = max(1, _GL_CHUNK // corr[lo_i, lo_j].size)  # pairs per elimination

@@ -576,6 +576,25 @@ def vector_numbers(X: np.ndarray, p: int) -> np.ndarray:
     return X @ (p ** np.arange(X.shape[-1] - 1, -1, -1))
 
 
+@functools.cache
+def gl_vector_numbers(n: int, p: int, columns: bool = False) -> np.ndarray:
+    """vector_numbers of the rows (or columns) of every matrix of
+    general_linear_group(n, p): an (N, n) array, built once per (n, p)
+    and read-only."""
+    GL = general_linear_group(n, p)
+    table = vector_numbers(GL.transpose(0, 2, 1) if columns else GL, p)
+    table.flags.writeable = False
+    return table
+
+
+@functools.cache
+def _all_vectors(n: int, p: int) -> np.ndarray:
+    """F_p^n as a read-only (p^n, n) array, vector number k at row k."""
+    table = np.arange(p ** n)[:, None] // p ** np.arange(n - 1, -1, -1) % p
+    table.flags.writeable = False
+    return table
+
+
 def bilinear_table(A1: np.ndarray, p: int) -> np.ndarray:
     """W[u, v] = u*A1*v for every u in F_p^r and v in F_p^c.
 
@@ -583,9 +602,8 @@ def bilinear_table(A1: np.ndarray, p: int) -> np.ndarray:
     `vector_numbers`.  Entry (i, j) of P0*A1*Q0 is W[row i of P0,
     column j of Q0].  Returns a (p^r, p^c, e) array.
     """
-    U, V = (np.array(list(itertools.product(range(p), repeat=n)))
-            for n in A1.shape[:2])
-    return np.einsum("ui,ije,vj->uve", U, A1, V) % p
+    r, c = A1.shape[:2]
+    return np.einsum("ui,ije,vj->uve", _all_vectors(r, p), A1, _all_vectors(c, p)) % p
 
 
 def correction_space(M: PresentationMatrix) -> np.ndarray:
@@ -668,7 +686,7 @@ def is_equivalent(
     GLr = general_linear_group(r, p)
     # match[u, v, i, j]: u*A1*v equals B1[i, j]
     match = (bilinear_table(A1, p)[:, :, None, None, :] == B1).all(axis=4)
-    row_of = vector_numbers(GLr, p)
+    row_of = gl_vector_numbers(r, p)
     rows = np.arange(r)
     block = max(1, _GL_CHUNK // match[0, :, 0].size // r)  # r * p^c * c cells per P0
     passing = (P0 for a in range(0, len(GLr), block) for P0 in GLr[a:a + block][
@@ -741,13 +759,10 @@ def _gl_order(n: int, p: int) -> int:
 # -- indecomposability ---------------------------------------------------------
 
 
-def endomorphism_space(M: PresentationMatrix):
-    """k-basis of End(coker M) as operators on the cokernel space.
-
-    Endomorphisms are pairs (phi0, phi1) with phi0*M = M*phi1; the
-    induced operator on coker M depends only on phi0 modulo matrices
-    whose columns land in im(M).
-    """
+def _endomorphism_kernel(M: PresentationMatrix) -> np.ndarray:
+    """Kernel N of the endomorphism system: its columns span the pairs
+    (phi0, phi1) of ring matrices with phi0*M = M*phi1, phi0 read from
+    the first r*r*d rows in (row, column, coefficient) order."""
     A = M.algebra
     p = A.p
     d = A.dim
@@ -762,7 +777,16 @@ def endomorphism_space(M: PresentationMatrix):
     sys1 = np.einsum("jk,def,ild->ijflke", np.eye(c, dtype=np.int64), C, M.entries)
     sys = np.concatenate([sys0.reshape(r * c * d, r * r * d) % p,
                           -sys1.reshape(r * c * d, c * c * d) % p], axis=1)
-    N = linalg.nullspace(sys, p)
+    return linalg.nullspace(sys, p)
+
+
+def _endomorphism_operators(M: PresentationMatrix, N: np.ndarray):
+    """(cok, basis): the operators on coker M of the phi0 in the kernel N,
+    the independent ones in the order of N's columns."""
+    A = M.algebra
+    p = A.p
+    d = A.dim
+    r = M.rows
     cok = CokernelSpace(M)
     q, k = cok.length, N.shape[1]
     # every phi0 linearized on R^r; the columns at cok.coords of all of
@@ -773,6 +797,21 @@ def endomorphism_space(M: PresentationMatrix):
     ops = ops.reshape(q, k, q).transpose(1, 0, 2).reshape(k, q * q)
     keep = linalg.independent_columns(ops.T, p)
     return cok, ops[keep].reshape(len(keep), q, q)
+
+
+def endomorphism_space(M: PresentationMatrix):
+    """(cok, basis): cok the CokernelSpace of M and basis a k-basis of
+    End(coker M) as q x q operators on it.
+
+    Endomorphisms are pairs (phi0, phi1) with phi0*M = M*phi1, the
+    kernel of one linear system; the induced operator on coker M depends
+    only on phi0 modulo matrices whose columns land in im(M).  Each phi0
+    of the kernel basis is linearized and its columns at the cokernel
+    coordinates projected, and the independent operators are kept in
+    kernel order.  `is_indecomposable` solves the same system and builds
+    these operators only for a module it finds decomposable.
+    """
+    return _endomorphism_operators(M, _endomorphism_kernel(M))
 
 
 def _charpoly_coeffs(Mt: np.ndarray, p: int) -> np.ndarray:
@@ -834,56 +873,24 @@ def _radical_of_matrix_algebra(basis: np.ndarray, p: int):
 _QUOTIENT_BUDGET = 1 << 22
 
 
-def is_indecomposable(M: PresentationMatrix):
-    """Idempotent search in End(coker M) through its semisimple quotient.
+def _quotient_idempotent(act: np.ndarray, rad: np.ndarray, p: int):
+    """(comp, x) for the algebra E spanned by the n0 x n0 matrices `act`
+    and a nilpotent ideal J spanned by the rows of `rad` (flattened).
 
-    Returns (True, None) or (False, idempotent_matrix).  A nilpotent
-    ideal J of E = End(coker M) contains no idempotents, and idempotents
-    lift along it, so E has a nontrivial idempotent iff E/J does; the
-    quotient is small enough to sweep exhaustively.  A found idempotent
-    is lifted back to an exact one and re-verified.  "Indecomposable"
-    carries no certificate.
-
-    Everything before the lift runs in the top algebra pi(E), the image
-    of pi: E -> M_n0(F_p), the action on V/mV (n0 = M.rows).  pi is exact
-    here: phi in ker pi maps V into mV, and phi(mV) = m phi(V) since phi
-    is module-linear, so m^3 = 0 gives phi^3 = 0.  A nilpotent ideal lies
-    in the Jacobson radical, so J(E) = pi^-1(J(pi E)) and
-    E/J(E) = pi E / J(pi E).  The complement of J picked from E's basis,
-    the structure constants of E/J and the coordinates of 1 are then
-    each unique, and equal those of the q x q computation.
+    comp indexes the elements of act outside J + span(earlier ones), a
+    basis of E/J; x holds the coordinates on them of the first nontrivial
+    idempotent of E/J in the order of itertools.product, or is None.
+    Raises BudgetExceededError when E/J has more than _QUOTIENT_BUDGET
+    elements.
     """
-    if not M.is_minimal:
-        raise ValidationError("indecomposability requires a minimal matrix")
-    A = M.algebra
-    p = A.p
-    cok, basis = endomorphism_space(M)
-    q = cok.length
-    if q == 0:
-        raise ValidationError("cokernel is zero")
-    nb = basis.shape[0]
-    if nb == 1:
-        return True, None  # only scalars
-    # M is minimal, so im(lin M) lies in m R^r: the r degree-0
-    # coordinates are all in cok.coords, and mV is the span of the others.
-    top = [k for k, c in enumerate(cok.coords) if c % A.dim == 0]
-    n0 = len(top)
-    act = basis[:, top][:, :, top] % p  # pi of each basis element
-    flat = act.reshape(nb, n0 * n0)
-    rad = _radical_of_matrix_algebra(act[linalg.independent_columns(flat.T, p)], p)
-    if rad is None:
-        # unverifiable chain: take J = ker pi, which is nilpotent; the
-        # quotient sweep below stays correct, just larger
-        rad = np.zeros((0, n0, n0), dtype=np.int64)
-    m = rad.shape[0]
-    rad = rad.reshape(m, n0 * n0)
-    # basis elements outside J + span(earlier ones): a basis of E/J
+    m, n0 = rad.shape[0], act.shape[1]
+    flat = act.reshape(len(act), n0 * n0)
     comp = linalg.independent_columns(np.concatenate([rad, flat]).T, p, skip=m)
     mc = len(comp)
     if mc == 0:
         raise AssertionError("identity endomorphism lost in the quotient")
     if mc == 1:
-        return True, None  # E/J is one-dimensional: E is local
+        return comp, None  # E/J is one-dimensional: E is local
     total = p ** mc
     if total > _QUOTIENT_BUDGET:
         raise BudgetExceededError(
@@ -903,17 +910,74 @@ def is_indecomposable(M: PresentationMatrix):
     coords = R[m:m + mc, m + mc:]
     struct = coords[:, :-1].T.reshape(mc, mc, mc)
     one_q = coords[:, -1]
-    found = None
     for combo in itertools.product(range(p), repeat=mc):
         x = np.array(combo, dtype=np.int64)
         if not x.any() or (x == one_q).all():
             continue
-        sq = np.einsum("a,b,abk->k", x, x, struct) % p
-        if (sq == x).all():
-            found = x
-            break
-    if found is None:
+        if (np.einsum("a,b,abk->k", x, x, struct) % p == x).all():
+            return comp, x
+    return comp, None
+
+
+def is_indecomposable(M: PresentationMatrix):
+    """Idempotent search in End(coker M) through its semisimple quotient.
+
+    Returns (True, None) or (False, idempotent_matrix).  A nilpotent
+    ideal J of E = End(coker M) contains no idempotents, and idempotents
+    lift along it, so E has a nontrivial idempotent iff E/J does; the
+    quotient is small enough to sweep exhaustively.  A found idempotent
+    is lifted back to an exact one and re-verified.  "Indecomposable"
+    carries no certificate.
+
+    The verdict is decided in the top algebra pi(E), the image of
+    pi: E -> M_n0(F_p), the action on V/mV (n0 = M.rows).  pi is exact
+    here: phi in ker pi maps V into mV, and phi(mV) = m phi(V) since phi
+    is module-linear, so m^3 = 0 gives phi^3 = 0.  A nilpotent ideal lies
+    in the Jacobson radical, so J(E) = pi^-1(J(pi E)) and
+    E/J(E) = pi E / J(pi E).
+
+    Stage one reads pi(E) off the kernel N of the endomorphism system
+    alone.  M is minimal, so im(lin M) lies in m R^r and projecting to
+    the cokernel leaves the r degree-0 coordinates alone: the top block
+    of phi's operator is phi0[:, :, 0], and the degree-0 phi0 rows of N
+    span pi(E).  The verdict, dim pi(E), J(pi E), dim E/J and whether
+    E/J has a nontrivial idempotent do not depend on the basis of pi(E),
+    so a module found indecomposable (or too large to sweep) never has
+    its q x q operators built.  Stage two, only for an idempotent found,
+    builds E's operator basis from the same N (`endomorphism_space`'s
+    basis) and picks the complement of J, the structure constants, the
+    sweep's idempotent and its lift in that basis.  J is shared between
+    the stages: the complement and the comp-coordinates of the products
+    and of 1 depend on span(J) only, not on its basis.
+    """
+    if not M.is_minimal:
+        raise ValidationError("indecomposability requires a minimal matrix")
+    if M.rows == 0:
+        # minimal M: coker M / m coker M is F_p^rows
+        raise ValidationError("cokernel is zero")
+    A = M.algebra
+    p = A.p
+    r, d = M.rows, A.dim
+    N = _endomorphism_kernel(M)
+    top = N[: r * r * d].reshape(r, r, d, -1)[:, :, 0].transpose(2, 0, 1) % p
+    basis0 = linalg.independent_columns(top.reshape(-1, r * r).T, p)
+    if len(basis0) == 1:
+        return True, None  # only scalars
+    rad = _radical_of_matrix_algebra(top[basis0], p)
+    if rad is None:
+        # unverifiable chain: take J = ker pi, which is nilpotent; the
+        # quotient sweep below stays correct, just larger
+        rad = np.zeros((0, r, r), dtype=np.int64)
+    rad = rad.reshape(-1, r * r)
+    if _quotient_idempotent(top[basis0], rad, p)[1] is None:
         return True, None
+    cok, basis = _endomorphism_operators(M, N)
+    q = cok.length
+    # the r degree-0 coordinates are all in cok.coords
+    deg0 = [k for k, c in enumerate(cok.coords) if c % d == 0]
+    comp, found = _quotient_idempotent(basis[:, deg0][:, :, deg0] % p, rad, p)
+    if found is None:
+        raise AssertionError("quotient idempotent lost in the operator basis")
     # lift the quotient idempotent to an exact one (error squares each step)
     e = np.einsum("t,tij->ij", found, basis[comp]) % p
     for _ in range(2 * q + 4):

@@ -1230,3 +1230,47 @@ def test_is_indecomposable_budget_stop(S3):
     with pytest.raises(BudgetExceededError) as exc:
         is_indecomposable(_diagonal(S3, 4))
     assert exc.value.required == 3 ** 16
+
+
+def test_is_indecomposable_builds_operators_only_for_idempotents(S2, S3, monkeypatch):
+    # an indecomposable module is decided from the endomorphism kernel
+    # alone; only a found idempotent needs the cokernel and its operators
+    ezd = sorted((pair.a for pair in enumerate_ezd(S3)), key=lambda g: g.order_key())
+    triples = [_ut2(S3, u, t, a) for u in ezd[:3] for t in ezd[:3]
+               for a in superdiagonal_candidates(S3)[:2]]
+    indecomposable = [M(S2, [["x", "z"], ["0", "x + y"]])]
+    indecomposable += [mat for mat in triples if is_indecomposable(mat)[0]]
+    decomposable = [mat for mat in triples if not is_indecomposable(mat)[0]]
+    assert len(indecomposable) >= 4 and decomposable
+
+    class Built(Exception):
+        pass
+
+    def refuse(*args, **kwargs):
+        raise Built
+    monkeypatch.setattr(modmat, "CokernelSpace", refuse)
+    monkeypatch.setattr(modmat, "linearize", refuse)
+    for mat in indecomposable:
+        assert is_indecomposable(mat) == (True, None)
+    with pytest.raises(Built):
+        is_indecomposable(decomposable[0])
+
+
+@pytest.mark.parametrize("p, seed", [(2, 11), (3, 12), (5, 13)])
+def test_top_algebra_is_degree_zero_rows_of_kernel(p, seed):
+    # pi(E), read off the kernel as phi0[:, :, 0], spans the top block of
+    # the q x q operators endomorphism_space builds from the same kernel
+    checked = 0
+    for mat in _cases(p, seed):
+        if not (mat.rows and mat.is_minimal):
+            continue
+        r, d = mat.rows, mat.algebra.dim
+        N = modmat._endomorphism_kernel(mat)
+        top_rows = N[: r * r * d].reshape(r, r, d, -1)[:, :, 0]
+        cok, basis = endomorphism_space(mat)
+        top = [k for k, c in enumerate(cok.coords) if c % d == 0]
+        ops_top = basis[:, top][:, :, top]
+        assert (linalg.Subspace(r * r, p, top_rows.reshape(r * r, -1).T)
+                == linalg.Subspace(r * r, p, ops_top.reshape(len(basis), r * r)))
+        checked += 1
+    assert checked >= 32
