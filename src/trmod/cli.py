@@ -174,13 +174,16 @@ def _cmd_filtrate(args, A):
         return {"ut_form": None,
                 "message": "no UT form exists (exhaustive)"}, EXIT_REFUTED
     witness, ut = found
+    # P * M * Q = ut_form
+    reported = {"ut_form": dump_matrix(ut),
+                "witness": {"P": dump_matrix(PresentationMatrix(A, witness.P)),
+                            "Q": dump_matrix(PresentationMatrix(A, witness.Q))}}
     try:
         filt = filtrate_ut(ut)
     except ValidationError as exc:
-        return {"ut_form": dump_matrix(ut), "filtration": None,
-                "message": str(exc)}, EXIT_REFUTED
+        return {**reported, "filtration": None, "message": str(exc)}, EXIT_REFUTED
     payload = {
-        "ut_form": dump_matrix(ut),
+        **reported,
         "filtration": {
             "blocks": [dump_matrix(b) for b in filt.blocks],
             "quotients": [repr(q) for q in filt.quotients],

@@ -26,6 +26,8 @@ from .algebra import (
 from .errors import BudgetExceededError, ValidationError
 from .modmat import (
     _GL_CHUNK,
+    _below_diagonal,
+    _lift_witness,
     EquivalenceWitness,
     PresentationMatrix,
     bilinear_table,
@@ -34,7 +36,6 @@ from .modmat import (
     divide,
     general_linear_group,
     gl_vector_numbers,
-    is_equivalent,
     ring_identity,
     syzygy,
 )
@@ -195,6 +196,17 @@ def find_ut_form(M: PresentationMatrix):
     RingElement.order_key entry by entry row-major, of the particular
     solutions of the solvable pairs, one per pair; equal candidates are
     equal byte for byte.  It is not in general the smallest UT form of M.
+
+    The witness is the lift of the pair that produced the form, not the
+    result of a second search.  For the pair's particular solution
+    `part`, (A, B) = `_build_correction_matrices(M, part)` has degree-1
+    entries, and since m^3 = 0, (I + A)*M*(I + B) = M + A*A1 + A1*B for
+    A1 the linear part of M, whose degree-2 parts are exactly
+    `correction_space(M) @ part`.  So P = P0*(I + A) and Q = (I + B)*Q0
+    carry M to P0*(M + corr @ part)*Q0, the form; EquivalenceWitness.verify
+    checks them.  Among pairs giving equal forms the earliest in the scan
+    order wins: the best so far is placed first in each stable sort, so
+    block and chunk sizes do not change the witness.
     """
     A = M.algebra
     p = A.p
@@ -210,12 +222,17 @@ def find_ut_form(M: PresentationMatrix):
         if value > cap:
             raise BudgetExceededError(f"UT-form search limited to {name} <= {cap}",
                                       required=value, budget=cap)
-    e = A.e
+    e, s2 = A.e, A.s2
+    corr = correction_space(M)
+    # the quadratic part and the correction generators, one row per entry
+    # (l, j) of an n x n matrix
+    A2_corr = np.concatenate([M.quadratic_part().reshape(n * n, s2),
+                              corr.reshape(n * n, -1)], axis=1)
+    # M's non-constant coordinates, one n x n matrix per coordinate
+    M_pos = M.entries[..., 1:].transpose(2, 0, 1)
     A1 = M.linear_part()
-    A2 = M.quadratic_part()
-    corr = correction_space(M).reshape(n, n, A.s2, -1)
     GL = general_linear_group(n, p)
-    lo_i, lo_j = np.tril_indices(n, -1)
+    lo_i, lo_j = _below_diagonal(n)
     # below-diagonal entry t of P0*A1*Q0 is u*A1*v for u row lo_i[t] of P0
     # and v column lo_j[t] of Q0; cleared[t, u] marks the Q0 that make it
     # vanish for that u
@@ -224,38 +241,43 @@ def find_ut_form(M: PresentationMatrix):
     row_of = gl_vector_numbers(n, p)[:, lo_i]
     terms = np.arange(len(lo_i))
     block = max(1, _GL_CHUNK // len(GL))  # P0 per lookup
-    chunk = max(1, _GL_CHUNK // corr[lo_i, lo_j].size)  # pairs per elimination
-    best = None
+    chunk = max(1, _GL_CHUNK // (len(lo_i) * s2 * corr.shape[1]))  # pairs per elimination
+    best = None  # (form, P0, Q0, part) of the smallest form so far
     for a0 in range(0, len(GL), block):
         pa, pq = np.nonzero(cleared[terms, row_of[a0:a0 + block]].all(axis=1))
         for c0 in range(0, len(pa), chunk):
-            a, q = a0 + pa[c0:c0 + chunk], pq[c0:c0 + chunk]
-            P0, Q0 = GL[a], GL[q]
-            N2 = np.einsum("qil,ljs,qjm->qims", P0, A2, Q0) % p
-            # the correction generators conjugated by (P0, Q0), below the
-            # diagonal: the system that clears the quadratic part there
-            sysA = np.einsum("qtl,ljsg,qjt->qtsg", P0[:, lo_i], corr, Q0[:, :, lo_j]) % p
-            ok, part = linalg.solve_stack(sysA.reshape(len(a), -1, corr.shape[-1]),
-                                          -N2[:, lo_i, lo_j].reshape(len(a), -1), p)
-            P0, Q0, N2, part = P0[ok], Q0[ok], N2[ok], part[ok]
-            # the conjugated correction (P0*corr*Q0) @ part is P0*(corr @ part)*Q0
-            delta = np.einsum("ljsg,qg->qljs", corr, part) % p
+            P0, Q0 = GL[a0 + pa[c0:c0 + chunk]], GL[pq[c0:c0 + chunk]]
+            # K[q, t] = (row lo_i[t] of P0) x (column lo_j[t] of Q0), so the
+            # below-diagonal entry t of P0*X*Q0 is K[q, t] @ X, X read as an
+            # n*n vector
+            K = (P0[:, lo_i, :, None] * Q0[:, :, lo_j].transpose(0, 2, 1)[:, :, None]
+                 ).reshape(len(P0), len(lo_i), n * n)
+            # below the diagonal: the conjugated quadratic part, and the
+            # conjugated correction generators that must clear it
+            lower = K @ A2_corr
+            ok, part = linalg.solve_stack(lower[..., s2:].reshape(len(P0), -1, corr.shape[1]),
+                                          -lower[..., :s2].reshape(len(P0), -1), p)
+            P0, Q0, part = P0[ok], Q0[ok], part[ok]
+            # the form P0*(M + corr @ part)*Q0, one coordinate at a time
+            delta = (part @ corr.T).reshape(len(P0), n, n, s2).transpose(0, 3, 1, 2)
+            X = np.repeat(M_pos[None], len(P0), axis=0)
+            X[:, e:] += delta
             ent = np.zeros((len(P0), n, n, A.dim), dtype=np.int64)
-            ent[..., 1:1 + e] = np.einsum("qil,lje,qjm->qime", P0, A1, Q0) % p
-            ent[..., 1 + e:] = (N2 + np.einsum("qil,qljs,qjm->qims", P0, delta, Q0)) % p
+            ent[..., 1:] = (P0[:, None] @ X @ Q0[:, None] % p).transpose(0, 2, 3, 1)
             if best is not None:
-                ent = np.concatenate([best[None], ent])
+                ent, P0, Q0, part = (np.concatenate([b[None], x])
+                                     for b, x in zip(best, (ent, P0, Q0, part)))
             if len(ent):
                 # RingElement.order_key compares coefficients last basis
                 # element first; lexsort's primary key is its last row
                 keys = ent[..., ::-1].reshape(len(ent), -1)
-                best = ent[np.lexsort(keys.T[::-1])[0]]
+                k = np.lexsort(keys.T[::-1])[0]
+                best = ent[k], P0[k], Q0[k], part[k]
     if best is None:
         return None
-    N = PresentationMatrix(A, best)
-    w = is_equivalent(M, N)
-    assert w is not None
-    return w, N
+    ent, P0, Q0, part = best
+    N = PresentationMatrix(A, ent)
+    return _lift_witness(M, N, P0, Q0, part), N
 
 
 # -- the alternating two-parameter family --------------------------------------

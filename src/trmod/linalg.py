@@ -233,7 +233,7 @@ class Subspace:
     def __init__(self, n: int, p: int, vectors=None):
         self.n = n
         self.p = p
-        if vectors is None or len(vectors) == 0:
+        if vectors is None or len(vectors) == 0 or n == 0:
             self.basis = np.zeros((0, n), dtype=np.int64)
             self.pivots: list[int] = []
         else:

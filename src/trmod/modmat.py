@@ -90,7 +90,7 @@ class PresentationMatrix:
 
     @property
     def is_upper_triangular(self) -> bool:
-        return self.is_square and not self.entries[np.tril_indices(self.rows, -1)].any()
+        return self.is_square and not self.entries[_below_diagonal(self.rows)].any()
 
     def entry(self, i, j) -> RingElement:
         return RingElement(self.algebra, self.entries[i, j].copy())
@@ -132,6 +132,14 @@ class PresentationMatrix:
         return f"PresentationMatrix({self.to_exprs()})"
 
 
+@functools.cache
+def _below_diagonal(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """np.tril_indices(n, -1), built once per n and read-only."""
+    rows, cols = np.tril_indices(n, -1)
+    rows.flags.writeable = cols.flags.writeable = False
+    return rows, cols
+
+
 # -- ring-matrix arithmetic ----------------------------------------------------
 
 
@@ -140,16 +148,10 @@ def ring_matmul(A: GradedLocalAlgebra, X: np.ndarray, Y: np.ndarray) -> np.ndarr
     return np.einsum("ikd,kje,def->ijf", X, Y, A.mult_table) % A.p
 
 
-def scalar_to_ring_matrix(A: GradedLocalAlgebra, S: np.ndarray) -> np.ndarray:
-    """Embed a scalar matrix over F_p as a ring matrix (constant entries)."""
-    r, c = S.shape
-    out = np.zeros((r, c, A.dim), dtype=np.int64)
-    out[:, :, 0] = S % A.p
-    return out
-
-
 def ring_identity(A: GradedLocalAlgebra, n: int) -> np.ndarray:
-    return scalar_to_ring_matrix(A, np.eye(n, dtype=np.int64))
+    out = np.zeros((n, n, A.dim), dtype=np.int64)
+    out[:, :, 0] = np.eye(n, dtype=np.int64)
+    return out
 
 
 def linearize(M: PresentationMatrix) -> np.ndarray:
@@ -726,8 +728,7 @@ def is_equivalent(
 def _try_quadratic(M1, M2, P0, Q0, corr, A2_flat, B2):
     """Given matching linear parts, solve the quadratic membership and
     construct an exact witness."""
-    alg = M1.algebra
-    p = alg.p
+    p = M1.algebra.p
     P0inv = linalg.inv(P0, p)
     Q0inv = linalg.inv(Q0, p)
     target = np.einsum("il,ljs,jm->ims", P0inv, B2, Q0inv) % p
@@ -735,14 +736,22 @@ def _try_quadratic(M1, M2, P0, Q0, corr, A2_flat, B2):
     coeffs = linalg.solve(corr, rhs, p)
     if coeffs is None:
         return None
+    return _lift_witness(M1, M2, P0, Q0, coeffs)
+
+
+def _lift_witness(M1, M2, P0, Q0, coeffs) -> EquivalenceWitness:
+    """P = P0*(I + A), Q = (I + B)*Q0 for the degree-1 corrections (A, B)
+    read from `correction_space` coefficients, verified to carry M1 to M2.
+
+    A and B have degree-1 entries and m^3 = 0, so (I + A)*M1*(I + B) =
+    M1 + A*L + L*B for L the linear part of M1, and the degree-2 parts of
+    A*L + L*B are corr @ coeffs.
+    """
+    alg = M1.algebra
     Amat, Bmat = _build_correction_matrices(M1, coeffs)
-    r, c = M1.rows, M1.cols
-    P = ring_matmul(
-        alg, scalar_to_ring_matrix(alg, P0), (ring_identity(alg, r) + Amat) % p
-    )
-    Q = ring_matmul(
-        alg, (ring_identity(alg, c) + Bmat) % p, scalar_to_ring_matrix(alg, Q0)
-    )
+    # a scalar factor multiplies each coordinate's matrix alike
+    P = np.einsum("il,ljd->ijd", P0, ring_identity(alg, M1.rows) + Amat) % alg.p
+    Q = np.einsum("ild,lj->ijd", ring_identity(alg, M1.cols) + Bmat, Q0) % alg.p
     w = EquivalenceWitness(alg, P, Q)
     if not w.verify(M1, M2):
         raise AssertionError("internal error: constructed witness failed verification")

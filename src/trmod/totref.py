@@ -162,6 +162,8 @@ def check_totally_reflexive(
 
     n = M.rows
     ds = [M]
+    # the step indices of each differential, oldest first, by its bytes
+    seen = {M.key(): [0]}
     betti = [n]
     dual_cur = _dual_rank(M)
     for step in range(1, depth + 1):
@@ -194,11 +196,12 @@ def check_totally_reflexive(
         ds.append(d_next)
         dual_cur = dual_next
         log.append(f"step {step}: syzygy computed, Betti {d_next.cols}")
-        for i in range(len(ds) - 1):
-            if ds[i] == d_next:
-                cert = _try_certify(ds, betti, log, i)
-                if cert is not None:
-                    return cert
+        earlier = seen.setdefault(d_next.key(), [])
+        for i in earlier:
+            cert = _try_certify(ds, betti, log, i)
+            if cert is not None:
+                return cert
+        earlier.append(len(ds) - 1)
     # no literal repeat: compare the last differential with the earlier
     # ones up to equivalence, nearest first
     for i in range(len(ds) - 2, -1, -1):

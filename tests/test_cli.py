@@ -3,13 +3,15 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
 import trmod
 
 from trmod.algebra import AlgebraSpec, build_algebra
 from trmod.cli import certificate_to_dict, main
-from trmod.modmat import PresentationMatrix
+from trmod import linalg
+from trmod.modmat import PresentationMatrix, ring_matmul
 from trmod.totref import check_totally_reflexive
 
 
@@ -195,6 +197,25 @@ def test_filtrate_finds_ut_form(capsys, matrix_file):
     code, rep = run(capsys, "filtrate", "S:2", m)
     assert code == 0
     assert rep["result"]["ut_form"] is not None
+    assert set(rep["result"]["witness"]) == {"P", "Q"}
+
+
+def test_filtrate_witness_replays(capsys, matrix_file):
+    # P * M * Q, rebuilt from the reported expressions alone, is ut_form;
+    # the input is a UT matrix disguised by P, Q with degree-1 parts
+    rows = [["2*y + x*y + x*z", "x + x*y"], ["x + y + 2*x*z", "x + 2*x*y"]]
+    code, rep = run(capsys, "filtrate", "S:3", matrix_file(rows))
+    assert code == 0
+    res = rep["result"]
+    A = build_algebra(AlgebraSpec.canonical_s(3))
+    P, Q, ut = (PresentationMatrix.from_exprs(A, d["entries"])
+                for d in (res["witness"]["P"], res["witness"]["Q"], res["ut_form"]))
+    M = PresentationMatrix.from_exprs(A, rows)
+    assert ut.is_upper_triangular
+    assert np.array_equal(ring_matmul(A, ring_matmul(A, P.entries, M.entries), Q.entries),
+                          ut.entries)
+    assert P.entries[:, :, 1:].any()
+    assert linalg.det_nonzero(P.entries[:, :, 0], 3) and linalg.det_nonzero(Q.entries[:, :, 0], 3)
 
 
 def test_filtrate_accepts_ut_input_past_the_caps(capsys, matrix_file):

@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from trmod import filtration, linalg
+from trmod import filtration, linalg, modmat
 from trmod.algebra import AlgebraSpec, build_algebra
 from trmod.errors import BudgetExceededError, ValidationError
 from trmod.filtration import (
@@ -19,7 +19,6 @@ from trmod.modmat import (
     coker_length,
     correction_space,
     general_linear_group,
-    is_equivalent,
     ring_identity,
     ring_matmul,
 )
@@ -152,9 +151,12 @@ def test_find_ut_form_budget_reports_the_prime():
 
 
 def _scan_pairs_reference(mat):
-    """The UT form find_ut_form returns, found by the plain double loop
-    over (P0, Q0) in GL_n x GL_n, one pair at a time, compared entry by
-    entry with RingElement.order_key."""
+    """The UT form find_ut_form returns, and its witness, found by the
+    plain double loop over (P0, Q0) in GL_n x GL_n, one pair at a time,
+    compared entry by entry with RingElement.order_key.  The witness is
+    P0*(I + A), (I + B)*Q0 for the best pair, the earliest among equal
+    forms, with A and B read from its solution in the column layout of
+    correction_space."""
     A, p, n = mat.algebra, mat.algebra.p, mat.rows
     e, s2 = A.e, A.s2
     A1, A2 = mat.linear_part(), mat.quadratic_part()
@@ -188,8 +190,16 @@ def _scan_pairs_reference(mat):
             key = tuple(N.entry(i, j).order_key()
                         for i in range(n) for j in range(n))
             if best is None or key < best[0]:
-                best = (key, N)
-    return None if best is None else best[1]
+                best = (key, N, P0, Q0, part)
+    if best is None:
+        return None
+    _, N, P0, Q0, part = best
+    I = ring_identity(A, n)
+    scalar_P0, scalar_Q0, left, right = (np.zeros_like(I) for _ in range(4))
+    scalar_P0[:, :, 0], scalar_Q0[:, :, 0] = P0, Q0
+    left[:, :, 1:1 + e] = part[:n * n * e].reshape(n, n, e)
+    right[:, :, 1:1 + e] = part[n * n * e:].reshape(n, n, e)
+    return (N, ring_matmul(A, scalar_P0, I + left), ring_matmul(A, I + right, scalar_Q0))
 
 
 def _random_minimal(rng, A, n):
@@ -240,8 +250,8 @@ def _without_ut(rng, A, n):
 @pytest.mark.parametrize("p, n, draws", [(2, 2, 16), (3, 2, 16), (2, 3, 6)])
 def test_find_ut_form_matches_pairwise_scan(p, n, draws):
     # byte for byte against the one-pair-at-a-time loop: the UT form and
-    # the witness is_equivalent builds for it, on seeded minimal inputs
-    # with random degree-2 parts, half of them disguised UT matrices
+    # the lift of the pair that gave it, on seeded minimal inputs with
+    # random degree-2 parts, half of them disguised UT matrices
     A = build_algebra(AlgebraSpec.canonical_s(p))
     rng = np.random.default_rng(100 * p + n)
     for k in range(draws):
@@ -252,11 +262,10 @@ def test_find_ut_form_matches_pairwise_scan(p, n, draws):
         assert (got is not None) == (ref is not None) == bool(k % 2)
         if ref is None:
             continue
-        w, ut = got
-        ref_w = is_equivalent(mat, ref)
-        assert ut.entries.tobytes() == ref.entries.tobytes()
-        assert w.P.tobytes() == ref_w.P.tobytes()
-        assert w.Q.tobytes() == ref_w.Q.tobytes()
+        (w, ut), (ref_ut, ref_P, ref_Q) = got, ref
+        assert ut.entries.tobytes() == ref_ut.entries.tobytes()
+        assert w.P.tobytes() == ref_P.tobytes()
+        assert w.Q.tobytes() == ref_Q.tobytes()
 
 
 def test_find_ut_form_returns_ut_input_past_the_caps(S2):
@@ -275,27 +284,43 @@ def test_find_ut_form_returns_ut_input_past_the_caps(S2):
 
 
 def test_find_ut_form_scan_makes_no_solve_call(S2, S3, monkeypatch):
-    # the scan solves every pair's system in stacked eliminations; only
-    # the final is_equivalent call may run linalg.solve
+    # the scan solves every pair's system in stacked eliminations and
+    # lifts the winning pair to the witness: no linalg.solve, linalg.inv
+    # or is_equivalent call anywhere in it
     events = []
-    solve, equiv = linalg.solve, filtration.is_equivalent
-    def spy_solve(*args):
-        events.append("solve")
-        return solve(*args)
-    def spy_equiv(*args):
-        events.append("is_equivalent")
-        return equiv(*args)
-    monkeypatch.setattr(linalg, "solve", spy_solve)
-    monkeypatch.setattr(filtration, "is_equivalent", spy_equiv)
+    def spy(module, name):
+        original = getattr(module, name)
+        def wrapped(*args, **kwargs):
+            events.append(name)
+            return original(*args, **kwargs)
+        monkeypatch.setattr(module, name, wrapped)
+    spy(linalg, "solve")
+    spy(linalg, "inv")
+    spy(modmat, "is_equivalent")
     for A in (S2, S3):
         rng = np.random.default_rng(A.p)
         for n in (2, 3) if A.p == 2 else (2,):
-            events.clear()
             assert find_ut_form(PresentationMatrix(A, _disguised_ut(rng, A, n))) is not None
-            assert events[0] == "is_equivalent"
-    events.clear()
     assert find_ut_form(M(S3, [["x", "z"], ["y", "x"]])) is None
     assert events == []
+    assert not hasattr(filtration, "is_equivalent")
+
+
+@pytest.mark.parametrize("p, n, draws", [(2, 2, 12), (2, 3, 3), (3, 2, 12)])
+def test_find_ut_form_witness_verifies(p, n, draws):
+    # the lifted witness carries each disguise, with random degree-1 and
+    # degree-2 parts in P, Q and the hidden UT matrix, to the form; some
+    # of the witnesses need a degree-1 correction
+    A = build_algebra(AlgebraSpec.canonical_s(p))
+    rng = np.random.default_rng(400 + 10 * p + n)
+    corrected = 0
+    for _ in range(draws):
+        mat = PresentationMatrix(A, _disguised_ut(rng, A, n))
+        w, ut = find_ut_form(mat)
+        assert ut.is_upper_triangular
+        assert w.verify(mat, ut)
+        corrected += bool(w.P[:, :, 1:].any() or w.Q[:, :, 1:].any())
+    assert corrected
 
 
 @pytest.mark.parametrize("p, n", [(2, 2), (3, 2), (2, 3)])

@@ -1274,3 +1274,19 @@ def test_top_algebra_is_degree_zero_rows_of_kernel(p, seed):
                 == linalg.Subspace(r * r, p, ops_top.reshape(len(basis), r * r)))
         checked += 1
     assert checked >= 32
+
+
+def test_zero_cokernel_of_a_0_by_c_presentation(S2):
+    # coker of R^2 -> 0 is zero: every call answers for the zero module
+    # instead of ending in a reshape error, and is_indecomposable keeps
+    # its typed refusal
+    Z = PresentationMatrix.zeros(S2, 0, 2)
+    assert coker_length(Z) == 0
+    cok = CokernelSpace(Z)
+    assert cok.length == 0 and cok.mult_op(S2.from_expr("x").coeffs).shape == (0, 0)
+    _, basis = endomorphism_space(Z)
+    assert basis.size == 0
+    x = PresentationMatrix.from_exprs(S2, [["x"]])
+    assert ext1(x, Z).rank == ext1(Z, x).rank == ext1(Z, Z).rank == 0
+    with pytest.raises(ValidationError, match="cokernel is zero"):
+        is_indecomposable(Z)

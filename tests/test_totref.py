@@ -243,3 +243,40 @@ def test_one_dual_rank_per_differential(S2, monkeypatch):
     assert set(loop) == {linear, lam}
     assert loop.count(lam) == len(cert.betti) == 4
     assert [shape for ph, shape in calls if ph == "replay"] == [linear, lam] * (2 * cert.period)
+
+
+def test_literal_repeats_found_without_eq(S2, S3, monkeypatch):
+    # the literal-repeat lookup keys differentials by their bytes; no
+    # PresentationMatrix.__eq__ call, and the same certificates
+    calls = []
+    eq = PresentationMatrix.__eq__
+    def spy(self, other):
+        calls.append(1)
+        return eq(self, other)
+    monkeypatch.setattr(PresentationMatrix, "__eq__", spy)
+    cases = [(S2, [["x"]]), (S2, [["x", "z"], ["y", "x"]]), (S3, [["x", "z"], ["y", "x"]]),
+             (S2, [["x", "y"], ["0", "x + y"]]), (S2, [["x", "y"], ["0", "y"]])]
+    certs = [check_totally_reflexive(M(A, rows)) for A, rows in cases]
+    assert calls == []
+    assert [c.verdict for c in certs] == [CERTIFIED] * 4 + [REFUTED]
+    assert [(c.preperiod, c.period) for c in certs[:3]] == [(0, 1), (1, 2), (1, 2)]
+
+
+def test_literal_repeat_tries_every_earlier_match_oldest_first(S2, monkeypatch):
+    # with every window rejected, each step tries exactly the earlier
+    # differentials equal to it, oldest first, and a later equal one is
+    # still tried after an earlier one fails
+    import numpy as np
+    from trmod import totref
+    tried, resolution = [], []
+    def reject(ds, betti, log, i, P=None):
+        tried.append((len(ds) - 1, i))
+        resolution[:] = ds
+    monkeypatch.setattr(totref, "_try_certify", reject)
+    monkeypatch.setattr(totref, "is_equivalent", lambda a, b: None)
+    cert = check_totally_reflexive(M(S2, [["x", "z"], ["y", "x"]]), depth=8)
+    assert cert.verdict == INCONCLUSIVE and len(resolution) == 9
+    want = [(j, i) for j in range(9) for i in range(j)
+            if np.array_equal(resolution[i].entries, resolution[j].entries)]
+    assert tried == want
+    assert max(sum(t[0] == j for t in tried) for j in range(9)) > 1
