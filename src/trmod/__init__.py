@@ -50,7 +50,6 @@ from .modmat import (
     EquivalenceWitness,
     PresentationMatrix,
     coker_length,
-    dual,
     has_m2_column,
     is_equivalent,
     is_indecomposable,

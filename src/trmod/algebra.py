@@ -249,9 +249,11 @@ def check_characteristic(p: int) -> None:
     """Raise ValidationError unless p is a prime below MAX_CHARACTERISTIC.
 
     Ring arithmetic runs in int64 and must not overflow.  The widest
-    accumulation is `ring_matmul`'s: k*dim^2 terms, k the inner matrix
-    size, each a product of three residues, so below p^3.  p < 2^13 keeps
-    each term below 2^39 and leaves 2^24 terms of headroom.
+    accumulation is `ring_matmul`'s: its coefficient pair sums over the
+    inner matrix size k are below k*p^2, and the multiplication table
+    adds dim^2 of them, each times a residue, so k*dim^2 terms below p^3
+    in all.  p < 2^13 keeps each term below 2^39 and leaves 2^24 terms of
+    headroom.
     """
     if p >= MAX_CHARACTERISTIC:
         raise ValidationError(

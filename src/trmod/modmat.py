@@ -18,6 +18,15 @@ blocks, and raise ValidationError on a non-minimal M, where the zero
 blocks are not zero; every rank and kernel of lin M on a resolution
 (`syzygy`, `has_m2_column`, the certifier's exactness ranks) goes
 through them.
+
+A resolution step with rank L1 = c (every step of a totally reflexive
+module, whose syzygies are linear) eliminates Lam alone.  Its canonical
+kernel K gives the generators of degree 1, all of them kept, since
+m*ker = R_1*K lies in R_2^c; the unit vector of R_2^c at t is a further
+generator iff no vector of span(R_1*K) has its last nonzero coordinate
+at t, which one forward elimination of R_1*K with its columns reversed
+decides.  `prune_presentation` computes no kernel at all then: every
+kernel vector has zero degree-0 coordinates, so no column is redundant.
 """
 
 from __future__ import annotations
@@ -144,8 +153,14 @@ def _below_diagonal(n: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def ring_matmul(A: GradedLocalAlgebra, X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    """Product of ring matrices given as (r, k, dim) and (k, c, dim) arrays."""
-    return np.einsum("ikd,kje,def->ijf", X, Y, A.mult_table) % A.p
+    """Product of ring matrices given as (r, k, dim) and (k, c, dim) arrays.
+
+    Two contractions: the coefficient products summed over k, then the
+    (dim^2, dim) multiplication table applied to each entry's pairs.
+    """
+    d = A.dim
+    pairs = np.einsum("ikd,kje->ijde", X, Y)
+    return pairs.reshape(pairs.shape[:2] + (d * d,)) @ A.mult_table.reshape(d * d, d) % A.p
 
 
 def ring_identity(A: GradedLocalAlgebra, n: int) -> np.ndarray:
@@ -209,6 +224,31 @@ def graded_rank(M: PresentationMatrix) -> int:
     return linalg.rank(_lin_block(M, slice(1, None), slice(0, 1 + e)), A.p)
 
 
+def _lam_kernel(M: PresentationMatrix) -> np.ndarray:
+    """Canonical kernel basis of Lam, the (r*s2) x (c*e) block of lin M
+    from degree 1 to degree 2, as (c*e, k) columns; the one elimination
+    of Lam."""
+    A = M.algebra
+    return linalg.nullspace(_lin_block(M, slice(1 + A.e, None), slice(1, 1 + A.e)), A.p)
+
+
+def _graded_kernel(M: PresentationMatrix, K: np.ndarray, units: list[int]) -> np.ndarray:
+    """The columns of K in the degree-1 coordinates of R^c and the unit
+    vectors of R_2^c at indices `units`, as one (c*d, k) matrix with its
+    columns ordered by their last nonzero coordinate: column t of the
+    canonical K ends at its free coordinate."""
+    A = M.algebra
+    c, d, e, s2 = M.cols, A.dim, A.e, A.s2
+    k = K.shape[1]
+    free = (K.shape[0] - 1 - (K[::-1] != 0).argmax(axis=0)).tolist() if K.size else []
+    last = [f // e * d + 1 + f % e for f in free] + [u // s2 * d + 1 + e + u % s2 for u in units]
+    V = np.zeros((c, d, len(last)), dtype=np.int64)
+    V[:, 1:1 + e, :k] = K.reshape(c, e, k)
+    V = V.reshape(c * d, len(last))
+    V[last[k:], range(k, len(last))] = 1
+    return V[:, sorted(range(len(last)), key=last.__getitem__)]
+
+
 def graded_nullspace(M: PresentationMatrix) -> np.ndarray:
     """linalg.nullspace(linearize(M)) of a minimal M, byte for byte.
 
@@ -218,21 +258,17 @@ def graded_nullspace(M: PresentationMatrix) -> np.ndarray:
     column is free iff some kernel vector ends there, so the degree-0
     columns are pivots and the other columns are free in lin M iff free
     in [Lam 0]; the canonical basis of lin M (one vector per free
-    column) is that of [Lam 0], with zero degree-0 coordinates inserted.
-    Its zero degree-2 columns give the unit vectors of R_2^c in their
-    places.  Otherwise lin M is eliminated without its zero degree-0
-    rows.  Raises ValidationError on a non-minimal M.
+    column, in column order) is then the canonical basis of Lam in the
+    degree-1 coordinates and, for the zero degree-2 columns, the unit
+    vectors of R_2^c.  Otherwise lin M is eliminated without its zero
+    degree-0 rows.  Raises ValidationError on a non-minimal M.
     """
     _require_minimal(M, "graded_nullspace")
     A = M.algebra
-    c, d, e = M.cols, A.dim, A.e
+    c = M.cols
     if _linear_rank(M) < c:
         return linalg.nullspace(_lin_block(M, slice(1, None), slice(None)), A.p)
-    sub = linalg.nullspace(_lin_block(M, slice(1 + e, None), slice(1, None)), A.p)
-    k = sub.shape[1]
-    N = np.zeros((c, d, k), dtype=np.int64)
-    N[:, 1:] = sub.reshape(c, d - 1, k)
-    return N.reshape(c * d, k)
+    return _graded_kernel(M, _lam_kernel(M), list(range(c * A.s2)))
 
 
 # -- cokernel structure --------------------------------------------------------
@@ -342,6 +378,10 @@ def prune_presentation(M: PresentationMatrix):
     a ring combination of the others; an all-zero row is a free rank-1
     summand of the cokernel.  Returns (M', free_rank) with
     coker M = coker M' + R^free_rank and M' free of both defects.
+
+    A minimal M with rank L1 = c has no such kernel vector: the degree-1
+    part of M*x is L1*x0, so x0 = 0 for every x in ker lin M.  The loop
+    then ends without computing the kernel.
     """
     A = M.algebra
     p = A.p
@@ -361,6 +401,8 @@ def prune_presentation(M: PresentationMatrix):
         if c == 0:
             break
         cur = PresentationMatrix(A, ent)
+        if cur.is_minimal and _linear_rank(cur) == c:
+            break  # every kernel vector has zero degree-0 coordinates
         ker = (graded_nullspace(cur) if cur.is_minimal
                else linalg.nullspace(linearize(cur), p))
         # units[j, t]: constant coefficient of column j in kernel vector t
@@ -384,38 +426,64 @@ def syzygy(M: PresentationMatrix) -> PresentationMatrix:
     """Minimal presentation of the first syzygy of coker M.
 
     Columns minimally generate ker(lin M) as an R-submodule of R^c
-    (Nakayama lifting from ker/m*ker); the output is deterministic for a
-    given input, which the periodicity detector relies on.
+    (Nakayama lifting from ker/m*ker): the vectors of the canonical
+    kernel basis N (`graded_nullspace`) outside m*ker + span(earlier
+    ones), each scaled so its first nonzero coordinate is 1.  The output
+    is deterministic for a given input, which the periodicity detector
+    relies on.
+
+    When rank L1 = c, N is the canonical basis K of ker Lam (in the
+    degree-1 coordinates) and the unit vectors of R_2^c, and m*ker is
+    the span of R_1*K, inside R_2^c: ker has no degree-0 part, so
+    R_2*ker = 0, and R_1*R_2^c = 0.  No vector of R_2^c ends at a
+    coordinate of K's columns, so all of K is kept; the unit at t is
+    dropped iff some vector of span(R_1*K) has its last nonzero
+    coordinate at t, i.e. e_t lies in m*ker + span(earlier units).  The
+    last nonzero coordinates that a span attains are the pivot columns
+    of its echelon form with the columns reversed, so one forward
+    elimination of R_1*K finds them.  Only Lam and the (e*k) x (c*s2)
+    block R_1*K are eliminated, never [Lam 0] or the generator
+    selection in R^c.
     """
     _require_minimal(M, "syzygy")
     A = M.algebra
-    d = A.dim
+    d, e, p = A.dim, A.e, A.p
     c = M.cols
     if c == 0:
         return PresentationMatrix.zeros(A, 0, 0)
-    N = graded_nullspace(M)  # (c*d, k) columns
-    # Generators: the columns of N independent of m*ker and of the columns
-    # before them, i.e. the pivot columns of [m*N | N] past the m*N block,
-    # whose column (i, t) is degree-1 basis element i times kernel vector
-    # t: m^2 ker = R_1 (R_1 ker), so these span m*ker.  Every column lies
-    # in ker, and reading a kernel vector at N's free rows (column t of N
-    # is 1 at its last nonzero entry, free[t], and 0 at the other free
-    # rows) gives its coordinates in the basis N, an isomorphism
-    # ker -> F_p^k; so [m*N[free] | I_k] has the same pivot columns, with
-    # k rows instead of c*d.  Its zero columns (degree-1 elements times
-    # degree-2 vectors) are never pivots and are dropped.
-    free = c * d - 1 - (N[::-1] != 0).argmax(axis=0)
-    mN = np.einsum("iab,jbt->jait", A._mult_ops[1:1 + A.e],
-                   N.reshape(c, d, -1)).reshape(c * d, -1)[free]
-    mN = mN[:, mN.any(axis=0)]
-    keep = linalg.independent_columns(
-        np.concatenate([mN, np.eye(N.shape[1], dtype=np.int64)], axis=1), A.p,
-        skip=mN.shape[1])
-    V = N[:, keep]
+    if _linear_rank(M) == c:
+        K = _lam_kernel(M)
+        n2 = c * A.s2
+        # row (i, t): degree-1 basis element i times column t of K, in R_2^c
+        RK = np.einsum("iab,jbt->itja", A._mult_ops[1:1 + e, 1 + e:, 1:1 + e],
+                       K.reshape(c, e, -1)).reshape(-1, n2) % p
+        ends = set(linalg._rref_rows(RK[:, ::-1].tolist(), n2, p, _above=False))
+        V = _graded_kernel(M, K, [u for u in range(n2) if n2 - 1 - u not in ends])
+    else:
+        N = graded_nullspace(M)  # (c*d, k) columns
+        # Generators: the columns of N independent of m*ker and of the
+        # columns before them, i.e. the pivot columns of [m*N | N] past the
+        # m*N block, whose column (i, t) is degree-1 basis element i times
+        # kernel vector t: m^2 ker = R_1 (R_1 ker), so these span m*ker.
+        # Every column lies in ker, and reading a kernel vector at N's free
+        # rows (column t of N is 1 at its last nonzero entry, free[t], and 0
+        # at the other free rows) gives its coordinates in the basis N, an
+        # isomorphism ker -> F_p^k; so [m*N[free] | I_k] has the same pivot
+        # columns, with k rows instead of c*d.  Its zero columns (degree-1
+        # elements times degree-2 vectors) are never pivots and are dropped.
+        free = c * d - 1 - (N[::-1] != 0).argmax(axis=0)
+        mN = np.einsum("iab,jbt->jait", A._mult_ops[1:1 + e],
+                       N.reshape(c, d, -1)).reshape(c * d, -1)[free]
+        mN = mN[:, mN.any(axis=0)]
+        keep = linalg.independent_columns(
+            np.concatenate([mN, np.eye(N.shape[1], dtype=np.int64)], axis=1), p,
+            skip=mN.shape[1])
+        V = N[:, keep]
     # scale each generator so its first nonzero coordinate is 1
-    lead = V[(V != 0).argmax(axis=0), range(len(keep))]
-    V = V * _inverses(A.p)[lead] % A.p
-    return PresentationMatrix(A, V.reshape(c, d, len(keep)).transpose(0, 2, 1))
+    k = V.shape[1]
+    lead = V[(V != 0).argmax(axis=0), range(k)]
+    V = V * _inverses(p)[lead] % p
+    return PresentationMatrix(A, V.reshape(c, d, k).transpose(0, 2, 1))
 
 
 def divide(A: GradedLocalAlgebra, w, by):
@@ -485,11 +553,6 @@ def column_reduce_to_lt(M: PresentationMatrix):
     if red is None:
         return None
     return PresentationMatrix(A, np.ascontiguousarray(red.entries[::-1, ::-1]))
-
-
-def dual(M: PresentationMatrix) -> PresentationMatrix:
-    """Matrix of Hom(-, R) applied to the map: the transpose."""
-    return M.transpose()
 
 
 def has_m2_column(M: PresentationMatrix) -> bool:

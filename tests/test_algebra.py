@@ -45,18 +45,23 @@ def test_build_rejects_characteristic_beyond_int64_bound():
 
 def test_ring_matmul_exact_at_largest_characteristic():
     # 8191 = 2^13 - 1 is the largest prime accepted; at 2^31 - 1 the
-    # x*y coefficient of entry (0, 0) below came out 2 instead of 6
+    # x*y coefficient of entry (0, 0) below came out 2 instead of 6.  The
+    # all p - 1 product of a 2 x 5 and a 5 x 3 matrix reaches the bound
+    # k*dim^2*p^3 of the pair sums times the table with k = 5
     p = MAX_CHARACTERISTIC - 1
     A = S(p)
     T = A.mult_table.tolist()
     rng = np.random.default_rng(7)
-    for X in (np.full((3, 3, A.dim), p - 1),
-              rng.integers(0, p, (3, 3, A.dim))):
-        Xl = X.tolist()
-        ref = [[[sum(Xl[i][k][d] * Xl[k][j][e] * T[d][e][f]
-                      for k in range(3) for d in range(A.dim) for e in range(A.dim)) % p
-                 for f in range(A.dim)] for j in range(3)] for i in range(3)]
-        assert ring_matmul(A, X, X).tolist() == ref
+    square = np.full((3, 3, A.dim), p - 1)
+    drawn = rng.integers(0, p, (3, 3, A.dim))
+    for X, Y in ((square, square), (drawn, drawn),
+                 (np.full((2, 5, A.dim), p - 1), np.full((5, 3, A.dim), p - 1))):
+        Xl, Yl = X.tolist(), Y.tolist()
+        ref = [[[sum(Xl[i][k][d] * Yl[k][j][e] * T[d][e][f]
+                     for k in range(len(Yl)) for d in range(A.dim) for e in range(A.dim)) % p
+                 for f in range(A.dim)] for j in range(len(Yl[0]))] for i in range(len(Xl))]
+        got = ring_matmul(A, X, Y)
+        assert got.dtype == np.int64 and got.tolist() == ref
 
 
 def test_build_rejects_m2_zero():

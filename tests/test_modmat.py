@@ -19,7 +19,6 @@ from trmod.modmat import (
     column_reduce_to_ut,
     correction_space,
     divide,
-    dual,
     endomorphism_space,
     graded_nullspace,
     graded_rank,
@@ -102,11 +101,11 @@ def test_syzygy_soundness_random(S2, S3):
             assert linalg.rank(Lw, A.p) == Lm.shape[1] - linalg.rank(Lm, A.p)
 
 
-def test_dual_is_transpose(S2):
+def test_transpose(S2):
     mat = M(S2, [["x", "z"], ["y", "x"]])
-    assert dual(mat) == M(S2, [["x", "y"], ["z", "x"]])
+    assert mat.transpose() == M(S2, [["x", "y"], ["z", "x"]])
     rect = M(S2, [["x", "y", "z"], ["z", "x", "y"]])
-    assert (dual(rect).rows, dual(rect).cols) == (3, 2)
+    assert (rect.transpose().rows, rect.transpose().cols) == (3, 2)
 
 
 def test_has_m2_column(S2):
@@ -223,6 +222,24 @@ def test_prune_presentation(S2):
     assert free == 0 and same == clean
 
 
+def test_prune_skips_the_kernel_at_full_linear_rank(S2, monkeypatch):
+    # rank L1 = c: no kernel vector of lin M has a unit coordinate, so a
+    # minimal matrix with no zero row comes back without a kernel
+    calls = []
+    kernel = modmat.graded_nullspace
+    def spy(mat):
+        calls.append(mat)
+        return kernel(mat)
+    monkeypatch.setattr(modmat, "graded_nullspace", spy)
+    clean = M(S2, [["x", "z"], ["y", "x"]])
+    assert prune_presentation(clean) == (clean, 0) and not calls
+    # rank L1 < c: column 2 is y times column 1, found from the kernel;
+    # what is left has rank L1 = c and needs no second kernel
+    redundant = M(S2, [["x", "x*y"], ["y", "0"]])
+    assert prune_presentation(redundant) == (M(S2, [["x"], ["y"]]), 0)
+    assert calls == [redundant]
+
+
 def test_column_reduce_to_ut(S2):
     assert M(S2, [["x", "z"], ["0", "x + y"]]).is_upper_triangular
     assert M(S2, [["x"]]).is_upper_triangular
@@ -313,6 +330,19 @@ def _loop_class_coords(ext, lift):
     for j in range(ext.N.cols):
         w[j * q:(j + 1) * q] = ext.cok.project(lift.entries[:, j, :].reshape(-1))
     return w
+
+
+def _syzygy_branch(mat):
+    """The path a minimal mat takes through `syzygy`: rank L1 < c (the
+    whole kernel of lin M), or rank L1 = c with a generator in m^2 (a unit
+    vector of R_2^c that R_1 * ker Lam does not reach) or without one."""
+    if modmat._linear_rank(mat) < mat.cols:
+        return "rank L1 < c"
+    linear = syzygy(mat).entries[:, :, 1:1 + mat.algebra.e].any(axis=(0, 2))
+    return "k2 = 0" if linear.all() else "k2 > 0"
+
+
+_SYZYGY_BRANCHES = ("k2 = 0", "k2 > 0", "rank L1 < c")
 
 
 def _greedy_syzygy(M):
@@ -614,6 +644,7 @@ _PINNED = {
 @pytest.mark.parametrize("p, seed", [(2, 11), (3, 12), (5, 13)])
 def test_one_rref_span_building_matches_greedy_add(p, seed):
     aux = np.random.default_rng(seed + 2000)
+    branches = dict.fromkeys(_SYZYGY_BRANCHES, 0)
     for mat in _cases(p, seed):
         A = mat.algebra
         assert _same(linearize(mat), _loop_linearize(mat))
@@ -633,6 +664,7 @@ def test_one_rref_span_building_matches_greedy_add(p, seed):
         if not (mat.cols and mat.is_minimal):  # zero columns: unit syzygies
             continue
         assert _same(syzygy(mat).entries, _greedy_syzygy(mat).entries)
+        branches[_syzygy_branch(mat)] += 1
         assert has_m2_column(mat) == _greedy_has_m2_column(mat)
         if mat.rows <= 2:
             for D in (mat, syzygy(mat)):
@@ -645,6 +677,7 @@ def test_one_rref_span_building_matches_greedy_add(p, seed):
                 lift = ext.lift(w)
                 assert _same(lift.entries, _loop_lift(ext, w))
                 assert _same(ext.class_of(lift).coords, _loop_class_coords(ext, lift))
+    assert all(branches.values()), branches
     assert _verdicts_and_witnesses(p, seed) == _PINNED[p]
 
 
@@ -909,6 +942,7 @@ def _m2_cases(p, seed):
 @pytest.mark.parametrize("p, seed", [(2, 31), (3, 32), (5, 33)])
 def test_has_m2_column_by_ranks_matches_subspaces(p, seed):
     seen = {"random": [0, 0], "syzygy": [0, 0], "redundant": [0, 0]}
+    branches = dict.fromkeys(_SYZYGY_BRANCHES, 0)
     mutant_wrong = 0
     for kind, mat in _m2_cases(p, seed):
         if not (mat.rows and mat.cols):
@@ -919,8 +953,10 @@ def test_has_m2_column_by_ranks_matches_subspaces(p, seed):
         mutant_wrong += kind == "redundant" and _linear_rank_below_cols(mat) != got
         if kind != "redundant":
             assert _same(syzygy(mat).entries, _ambient_syzygy(mat).entries)
+            branches[_syzygy_branch(mat)] += 1
     # both verdicts occur, and the redundant cases tell mu from c
     assert all(seen["random"]) and seen["redundant"][False] and seen["syzygy"][False]
+    assert all(branches.values()), branches
     assert mutant_wrong
 
 

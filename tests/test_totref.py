@@ -1,8 +1,11 @@
+import functools
+
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from trmod.algebra import AlgebraSpec, build_algebra
 from trmod.errors import BudgetExceededError, ValidationError
-from trmod.modmat import PresentationMatrix, coker_length, syzygy
+from trmod.modmat import PresentationMatrix, coker_length, prune_presentation, syzygy
 from trmod.totref import (
     CERTIFIED,
     INCONCLUSIVE,
@@ -280,3 +283,69 @@ def test_literal_repeat_tries_every_earlier_match_oldest_first(S2, monkeypatch):
             if np.array_equal(resolution[i].entries, resolution[j].entries)]
     assert tried == want
     assert max(sum(t[0] == j for t in tried) for j in range(9)) > 1
+
+
+# a 4x4 UT matrix over S:5 whose certificate has preperiod 2 and period 20
+_UT4_S5 = [["4*x + 2*y + x*y + x*z", "x + 4*y + z + x*y", "3*x + 4*z + x*y", "2*y + z + 2*x*z"],
+           ["0", "2*x + 4*y + 4*z + 4*x*y + 2*x*z", "2*z + x*y + 3*x*z", "3*x + 3*y + 2*z + 2*x*z"],
+           ["0", "0", "4*x + 3*y + 3*z + 3*x*y + 4*x*z", "2*z + x*y + 4*x*z"],
+           ["0", "0", "0", "2*x + 3*y + 2*z + 3*x*z"]]
+
+
+def test_resolution_eliminates_lam_only(monkeypatch):
+    # with rank L1 = c every syzygy comes from ker Lam, an (n*s2) x (n*e)
+    # block: one nullspace per step, none wider than c*e columns, and
+    # none in prune
+    import numpy as np
+    from trmod import linalg
+    A = build_algebra(AlgebraSpec.canonical_s(5))
+    widths = []
+    nullspace = linalg.nullspace
+    def spy(mat, p):
+        widths.append(np.shape(mat)[1])
+        return nullspace(mat, p)
+    monkeypatch.setattr(linalg, "nullspace", spy)
+    cert = check_totally_reflexive(M(A, _UT4_S5))
+    assert cert.certified and (cert.preperiod, cert.period) == (2, 20)
+    assert cert.betti == [4] * 23
+    assert widths == [4 * A.e] * 22
+
+
+_DIFFERENTIAL_RINGS = {
+    "S:2": AlgebraSpec.canonical_s(2),
+    "S:3": AlgebraSpec.canonical_s(3),
+    "S:3 in x, a, b": AlgebraSpec(3, ["x", "a", "b"], ["x^2", "a^2", "b^2", "a*b"]),
+}
+
+
+@functools.cache
+def _differential_ring(name):
+    return build_algebra(_DIFFERENTIAL_RINGS[name])
+
+
+@st.composite
+def _minimal_ut_presentations(draw):
+    """n x n upper triangular matrices, n <= 3, entries in m, some of
+    them zero; only minimal presentations are kept, where no column is a
+    ring combination of the others (check_ut_tr's theorem assumes one)."""
+    import numpy as np
+    A = _differential_ring(draw(st.sampled_from(sorted(_DIFFERENTIAL_RINGS))))
+    n = draw(st.integers(1, 3))
+    density = draw(st.sampled_from([0.4, 0.7, 1.0]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    ent = rng.integers(0, A.p, size=(n, n, A.dim)) * (rng.random((n, n, A.dim)) < density)
+    ent[:, :, 0] = 0
+    ent[np.tril_indices(n, -1)] = 0
+    mat = PresentationMatrix(A, ent)
+    assume(prune_presentation(mat)[0].cols == n)
+    return mat
+
+
+@settings(max_examples=150, deadline=None)
+@given(_minimal_ut_presentations())
+def test_ut_criterion_agrees_with_certifier(mat):
+    cert = check_totally_reflexive(mat)
+    assert cert.verdict != INCONCLUSIVE
+    assert check_ut_tr(mat)[0] == cert.certified
+    if cert.certified and cert.window:
+        assert verify_periodic_window(cert.window)
