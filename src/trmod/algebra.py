@@ -10,6 +10,8 @@ surviving monomials).
 
 from __future__ import annotations
 
+import itertools
+import re
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
@@ -33,7 +35,7 @@ class AlgebraSpec:
 class GradedLocalAlgebra:
     """Finite-dimensional graded local algebra, immutable after build."""
 
-    def __init__(self, spec, basis_labels, degrees, mult_table, mono_reduction):
+    def __init__(self, spec, basis_labels, degrees, mult_table, monomials):
         self.spec = spec
         self.p = spec.characteristic
         self.variables = list(spec.variables)
@@ -43,12 +45,13 @@ class GradedLocalAlgebra:
         self.dim = len(basis_labels)
         self.s2 = self.dim - 1 - self.e
         self.mult_table = mult_table  # C[i,j,k]: b_i * b_j = sum_k C[i,j,k] b_k
-        self._mono_reduction = mono_reduction  # degree-2 exponent tuple -> vector
+        self._var_index = {v: i for i, v in enumerate(self.variables)}
+        self._monomials = monomials  # see build_algebra
         # L[i] = matrix of multiplication by basis element i.
         self._mult_ops = np.ascontiguousarray(
             np.einsum("ijk->ikj", mult_table)
         )  # L[i][k, j] = C[i, j, k]
-        self._partner_cache: dict[bytes, "RingElement | None"] = {}
+        self._partner_cache: dict[tuple, "RingElement | None"] = {}  # by point
         self._ann_cache: dict[bytes, tuple] = {}
 
     # -- element constructors -------------------------------------------------
@@ -74,27 +77,27 @@ class GradedLocalAlgebra:
             )
         return RingElement(self, v.copy())
 
+    def parse_coeffs(self, text: str) -> list[int]:
+        """Coefficients over the basis of an expression in the generators,
+        reduced mod p.  A monomial of degree >= 3 is 0 (m^3 = 0) and is
+        skipped without being built."""
+        acc = [0] * self.dim
+        monomials = self._monomials
+        for coeff, factors in expr.terms(text, self._var_index):
+            red = monomials.get(tuple(factors))
+            if red is None:  # a power 0, or degree >= 3
+                factors = tuple(f for f in factors if f[1])
+                if sum(k for _, k in factors) > 2:
+                    continue
+                red = monomials[factors]
+            for t, val in red:
+                acc[t] += coeff * val
+        p = self.p
+        return [a % p for a in acc]
+
     def from_expr(self, text: str) -> "RingElement":
         """Parse an expression in the generators into a ring element."""
-        poly = expr.parse_poly(text, self.variables)
-        v = np.zeros(self.dim, dtype=np.int64)
-        for expo, coeff in poly.items():
-            deg = sum(expo)
-            c = coeff % self.p
-            if c == 0:
-                continue
-            if deg == 0:
-                v[0] = (v[0] + c) % self.p
-            elif deg == 1:
-                i = expo.index(1)
-                v[1 + i] = (v[1 + i] + c) % self.p
-            elif deg == 2:
-                red = self._mono_reduction[expo]
-                v[1 + self.e :] = (v[1 + self.e :] + c * red) % self.p
-            else:
-                # m^3 = 0: any monomial of degree >= 3 is zero.
-                continue
-        return RingElement(self, v)
+        return RingElement(self, np.array(self.parse_coeffs(text), dtype=np.int64))
 
     def format_element(self, coeffs) -> str:
         terms = [
@@ -264,6 +267,9 @@ def check_characteristic(p: int) -> None:
         raise ValidationError(f"characteristic must be prime, got {p}")
 
 
+_NAME = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
+
+
 def _deg2_monomials(e: int) -> list[tuple[int, int]]:
     return [(i, j) for i in range(e) for j in range(i, e)]
 
@@ -281,6 +287,9 @@ def build_algebra(spec: AlgebraSpec) -> GradedLocalAlgebra:
         raise ValidationError("need at least 2 variables")
     if len(set(spec.variables)) != e:
         raise ValidationError("duplicate variable names")
+    bad = [v for v in spec.variables if not _NAME.fullmatch(str(v))]
+    if bad:
+        raise ValidationError(f"variable names must be identifiers, got {bad}")
 
     monos2 = _deg2_monomials(e)
     mono2_index = {m: i for i, m in enumerate(monos2)}
@@ -350,13 +359,17 @@ def build_algebra(spec: AlgebraSpec) -> GradedLocalAlgebra:
     if rank3 != len(monos3):
         raise ValidationError("m^3 != 0 after reduction")
 
-    # Exponent-tuple keyed reduction map for the parser.
-    mono_red_by_expo = {}
+    # The parser's table: the (variable index, power) factors of every
+    # monomial of degree <= 2, in any order, to its nonzero (basis index,
+    # value) pairs.
+    monomials = {(): ((0, 1),)}
+    for i in range(e):
+        monomials[((i, 1),)] = ((1 + i, 1),)
     for (a, b), vec in mono_red.items():
-        expo = [0] * e
-        expo[a] += 1
-        expo[b] += 1
-        mono_red_by_expo[tuple(expo)] = vec
+        red = tuple((1 + e + k, int(v)) for k, v in enumerate(vec) if v)
+        monomials[((a, 1), (b, 1))] = monomials[((b, 1), (a, 1))] = red
+        if a == b:
+            monomials[((a, 2),)] = red
 
     dim = 1 + e + s2
     labels = ["1"] + list(spec.variables)
@@ -376,7 +389,7 @@ def build_algebra(spec: AlgebraSpec) -> GradedLocalAlgebra:
             C[1 + i, 1 + j, 1 + e :] = red
     # degree 1 * degree 2, degree 2 * anything in m: zero (m^3 = 0).
 
-    A = GradedLocalAlgebra(spec, labels, degrees, C, mono_red_by_expo)
+    A = GradedLocalAlgebra(spec, labels, degrees, C, monomials)
     _validate_table(A)
     return A
 
@@ -473,23 +486,34 @@ def exact_zero_divisor_partner(A: GradedLocalAlgebra, a: RingElement):
     """Partner b with (0:a) = (b) and (0:b) = (a), or None.
 
     b is normalized so its first nonzero coordinate is 1 (unique up to
-    unit over a local ring).
+    unit over a local ring).  Both depend only on the projective point
+    of a's linear part l, and are computed once per point: m^3 = 0 gives
+    (0:a) = (0:l) and (a) = k*a + l*m, of the length of (l), while
+    (a) and (l) both lie in (0:b).  A nonzero a in m^2 has (0:a) = m,
+    which needs e >= 2 generators, so it is never an exact zero divisor.
     """
     if a.is_unit:
         raise ValidationError("unit is not a zero divisor")
     if not a:
         raise ValidationError("zero is not an exact zero divisor")
-    key = a.coeffs.tobytes()
-    if key in A._partner_cache:
-        return A._partner_cache[key]
-    ann_a, gens, _ = annihilator(A, a)
+    p = A.p
+    lin = [c % p for c in a.coeffs[1 : 1 + A.e].tolist()]
+    lead = next((c for c in lin if c), 0)
+    if not lead:
+        return None
+    inv = pow(lead, p - 2, p)
+    point = tuple(x * inv % p for x in lin)  # first nonzero coordinate 1
+    if point in A._partner_cache:
+        return A._partner_cache[point]
+    ell = RingElement(A, np.array((0,) + point + (0,) * A.s2, dtype=np.int64))
+    _, gens, _ = annihilator(A, ell)
     result = None
     if len(gens) == 1:
         b = gens[0].normalized()
         ann_b, _, _ = annihilator(A, b)
-        if ann_b == ideal_span(A, a):
+        if ann_b == ideal_span(A, ell):
             result = b
-    A._partner_cache[key] = result
+    A._partner_cache[point] = result
     return result
 
 
@@ -500,25 +524,27 @@ def is_exact_zero_divisor(A: GradedLocalAlgebra, a: RingElement) -> bool:
 
 
 def enumerate_ezd(A: GradedLocalAlgebra) -> list[ExactZeroDivisorPair]:
-    """All exact zero divisor pairs, one representative per ideal.
+    """All exact zero divisor pairs, one representative per ideal, in the
+    order in which a sweep of m by `order_key` first meets each ideal.
 
-    Candidates sweep m \\ m^2; dedup is by the generated ideal (unit
-    multiples and m^2-perturbations that preserve the ideal collapse to
-    one entry).  Representatives are leading-coefficient normalized and
-    chosen minimal in the listing order.
+    The sweep is not run.  Being an EZD, and the partner, depend only on
+    the projective point l of the linear part (see
+    `exact_zero_divisor_partner`), so each of the (p^e - 1)/(p - 1)
+    points is tested once.  An EZD point gives one ideal, (l) = k*l + m^2:
+    m^2 kills b, so it lies in (0:b) = (a) = k*a + a*m, and as a lies
+    outside m^2, m^2 = a*m = l*m.  Its generators are the c*l + q with c
+    in F_p^* and q in m^2, of which the sweep meets the least c*l first,
+    normalized to l.
     """
-    seen: dict[bytes, ExactZeroDivisorPair] = {}
-    order: list[bytes] = []
-    candidates = [a for a in A.all_elements() if not a.in_m2 and a]
-    candidates.sort(key=lambda a: a.order_key())
-    for a in candidates:
-        a = a.normalized()
-        ideal_key = ideal_span(A, a).key()
-        if ideal_key in seen:
-            continue
-        b = exact_zero_divisor_partner(A, a)
-        if b is None:
-            continue
-        seen[ideal_key] = ExactZeroDivisorPair(a, b)
-        order.append(ideal_key)
-    return [seen[k] for k in order]
+    p, e = A.p, A.e
+    found = []
+    for lead in range(e):
+        for tail in itertools.product(range(p), repeat=e - 1 - lead):
+            point = (0,) * lead + (1,) + tail
+            ell = RingElement(A, np.array((0,) + point + (0,) * A.s2, dtype=np.int64))
+            b = exact_zero_divisor_partner(A, ell)
+            if b is not None:
+                first = min((ell * c).order_key() for c in range(1, p))
+                found.append((first, ExactZeroDivisorPair(ell, b)))
+    found.sort(key=lambda item: item[0])
+    return [pair for _, pair in found]

@@ -1,33 +1,71 @@
 """Polynomial expression grammar shared by ring files and matrix files.
 
-Expressions are sums of terms ``c*m`` where ``c`` is an integer literal
-and ``m`` a product of variables with optional ``^`` powers, e.g.
-``x^2``, ``2*x*y - z``, ``x + y + z``.  Parsing yields a mapping from
-exponent vectors to integer coefficients; interpretation into a specific
+An expression is a sum of terms joined by ``+`` or ``-``, the first of
+which may carry a sign of its own.  A term is a product of factors
+joined by ``*``; a factor is an integer literal, a variable, or a
+variable raised to an integer literal with ``^``.  Whitespace may stand
+between any two symbols but not inside a literal or a name, so ``2 3``
+and ``x y`` are errors, as are an empty term (``x +``, ``x + - y``) and
+an empty factor (``x*``, ``x**y``).  E.g. ``x^2``, ``2*x*y - z``,
+``x + y + z``.
+
+`terms` is the one scanner: it splits on the operators with
+`str.split`/`str.partition` and yields each term's coefficient and
+(variable index, power) factors.  Interpretation into a specific
 algebra happens elsewhere.
 """
 
 from __future__ import annotations
 
-import re
-
 from .errors import ParseError
 
-_TOKEN = re.compile(r"\s*(\d+|[A-Za-z_][A-Za-z_0-9]*|\^|\*|\+|-)")
 
+def terms(text: str, var_index: dict[str, int]):
+    """Yield (coefficient, [(variable index, power), ...]) per term of text.
 
-def tokenize(text: str) -> list[str]:
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if not m:
-            if text[pos:].strip() == "":
-                break
-            raise ParseError(f"unexpected character {text[pos]!r} in {text!r}")
-        tokens.append(m.group(1))
-        pos = m.end()
-    return tokens
+    Coefficients are signed Python ints, so no literal can overflow.
+    Raises ParseError on any text outside the grammar.
+    """
+    pieces = text.replace("-", "+-").split("+")
+    # a blank first piece stands before a leading sign, or is the whole text
+    if not pieces[0] or pieces[0].isspace():
+        if len(pieces) == 1:
+            raise ParseError("empty expression")
+        del pieces[0]
+    get = var_index.get
+    try:
+        for piece in pieces:
+            coeff = 1
+            if piece[:1] == "-":
+                coeff = -1
+                piece = piece[1:]
+            piece = piece.strip()
+            if not piece:
+                raise ParseError(f"empty term in {text!r}")
+            factors = []
+            for f in piece.split("*"):
+                v = get(f)
+                if v is None:
+                    f = f.strip()
+                    v = get(f)
+                if v is not None:
+                    factors.append((v, 1))
+                elif f.isdecimal():
+                    coeff *= int(f)
+                elif not f:
+                    raise ParseError(f"empty factor in {text!r}")
+                else:
+                    name, hat, power = f.partition("^")
+                    v = get(name.rstrip())
+                    power = power.lstrip()
+                    if v is None:
+                        raise ParseError(f"unknown symbol {f!r} in {text!r}")
+                    if not hat or not power.isdecimal():
+                        raise ParseError(f"expected integer power in {text!r}")
+                    factors.append((v, int(power)))
+            yield coeff, factors
+    except ValueError:  # an integer literal longer than int() accepts
+        raise ParseError(f"integer literal too long in {text!r}") from None
 
 
 def parse_poly(text: str, variables: list[str]) -> dict[tuple[int, ...], int]:
@@ -37,66 +75,14 @@ def parse_poly(text: str, variables: list[str]) -> dict[tuple[int, ...], int]:
     the caller's job.  The zero polynomial is the empty dict.
     """
     var_index = {v: i for i, v in enumerate(variables)}
-    tokens = tokenize(text)
-    if not tokens:
-        raise ParseError("empty expression")
     result: dict[tuple[int, ...], int] = {}
-    pos = 0
-    sign = 1
-    first = True
-    while pos < len(tokens):
-        tok = tokens[pos]
-        if tok == "+":
-            sign = 1
-            pos += 1
-        elif tok == "-":
-            sign = -1
-            pos += 1
-        elif first:
-            sign = 1
-        else:
-            raise ParseError(f"expected '+' or '-' before {tok!r} in {text!r}")
-        coeff, expo, pos = _parse_term(tokens, pos, var_index, text)
-        first = False
+    for coeff, factors in terms(text, var_index):
+        expo = [0] * len(variables)
+        for v, k in factors:
+            expo[v] += k
         key = tuple(expo)
-        result[key] = result.get(key, 0) + sign * coeff
+        result[key] = result.get(key, 0) + coeff
     return {k: v for k, v in result.items() if v != 0}
-
-
-def _parse_term(tokens, pos, var_index, text):
-    coeff = 1
-    expo = [0] * len(var_index)
-    saw_factor = False
-    while True:
-        if pos >= len(tokens):
-            break
-        tok = tokens[pos]
-        if tok.isdigit():
-            coeff *= int(tok)
-            pos += 1
-        elif tok in var_index:
-            v = var_index[tok]
-            power = 1
-            pos += 1
-            if pos < len(tokens) and tokens[pos] == "^":
-                pos += 1
-                if pos >= len(tokens) or not tokens[pos].isdigit():
-                    raise ParseError(f"expected integer power in {text!r}")
-                power = int(tokens[pos])
-                pos += 1
-            expo[v] += power
-        elif tok in ("+", "-"):
-            break
-        else:
-            raise ParseError(f"unknown symbol {tok!r} in {text!r}")
-        saw_factor = True
-        if pos < len(tokens) and tokens[pos] == "*":
-            pos += 1
-            continue
-        break
-    if not saw_factor:
-        raise ParseError(f"empty term in {text!r}")
-    return coeff, expo, pos
 
 
 def format_poly(terms: list[tuple[int, str]]) -> str:

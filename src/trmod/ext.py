@@ -110,12 +110,14 @@ def ext1(N: PresentationMatrix, M: PresentationMatrix) -> ExtSpace:
     H1 = _hom_matrix(cok, N)
     H2 = _hom_matrix(cok, d2)
     Z = linalg.nullspace(H2, p)
-    rank = Z.shape[1] - linalg.rank(H1, p)
-    # pick representatives: kernel vectors extending the coboundary space
-    keep = linalg.independent_columns(
-        np.concatenate([H1, Z], axis=1), p, skip=H1.shape[1])
+    # one RREF of [H1 | Z]: its pivots in H1 give rank H1, those in Z the
+    # representatives, kernel vectors extending the coboundary space
+    skip = H1.shape[1]
+    _, pivots = linalg.rref(np.concatenate([H1, Z], axis=1), p)
+    keep = [c - skip for c in pivots if c >= skip]
+    rank = Z.shape[1] - (len(pivots) - len(keep))
     reps = [Z[:, t].copy() for t in keep]
-    assert len(reps) == rank
+    assert len(reps) == rank  # im H1 lies in ker H2
     return ExtSpace(N=N, M=M, rank=rank, representatives=reps,
                     cok=cok, _H1=H1, _H2=H2)
 

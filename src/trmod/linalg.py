@@ -140,19 +140,19 @@ def _stack_dtype(p: int):
     return np.int32 if p * p < 1 << 31 else np.int64
 
 
-def _eliminate_stack(T: np.ndarray, p: int, ncols: int, above: bool = True):
-    """Gaussian elimination mod p, in place, of the matrices T[:, :, k] of
-    an (m, w, B) array with entries in [0, p), over their first `ncols`
-    columns.
+def _eliminate_stack(T: np.ndarray, p: int, ncols: int):
+    """Forward Gaussian elimination mod p, in place, of the matrices
+    T[:, :, k] of an (m, w, B) array with entries in [0, p), over their
+    first `ncols` columns.
 
     The stack is the last axis, so each operation is elementwise over
     the whole stack.  Step r finds pivot r of every matrix at once: each
     matrix takes the first column with a nonzero in rows r and below,
     swaps the first such row up to row r, scales it to 1 and clears that
-    column in its other rows (with `above` false, only in the rows
-    below).  Returns (rank, pivots): the rank of each matrix, and an
-    (m, B) array of the column of each row's pivot, `ncols` for the rows
-    past the rank.  With `above` true each matrix ends in RREF.
+    column in the rows below.  Returns (rank, pivots): the rank of each
+    matrix, and an (m, B) array of the column of each row's pivot,
+    `ncols` for the rows past the rank.  Each matrix ends in echelon
+    form, with the pivots of its RREF.
     """
     m, _, B = T.shape
     # inverse[0] = 1 leaves row r as it is in a matrix with no pivot left
@@ -171,12 +171,9 @@ def _eliminate_stack(T: np.ndarray, p: int, ncols: int, above: bool = True):
         piv = T[below, :, each].T
         T[below, :, each] = T[r].T
         T[r] = piv * inverse[piv[c, each]] % p
-        rows = slice(None) if above else slice(r + 1, None)
-        f = T[rows, c, each] * has
-        if above:
-            f[r] = 0
-        T[rows] -= f[:, None] * T[r]
-        T[rows] %= p
+        f = T[r + 1:, c, each] * has
+        T[r + 1:] -= f[:, None] * T[r]
+        T[r + 1:] %= p
         pivots[r, has] = c[has]
         rank[has] = r + 1
     return rank, pivots
@@ -187,16 +184,17 @@ def rank_stack(S, p: int) -> np.ndarray:
     elimination only."""
     S = np.asarray(S, dtype=np.int64) % p
     T = np.ascontiguousarray(S.transpose(1, 2, 0), dtype=_stack_dtype(p))
-    return _eliminate_stack(T, p, S.shape[2], above=False)[0]
+    return _eliminate_stack(T, p, S.shape[2])[0]
 
 
 def solve_stack(A, b, p: int):
     """Solve A[k] x = b[k] mod p for a (B, m, n) stack A and (B, m) b.
 
     Returns (ok, X): ok[k] says whether system k is consistent, and then
-    X[k] is `solve(A[k], b[k], p)` byte for byte, since the RREF is
-    canonical and the free coordinates are 0.  X[k] is 0 where ok[k] is
-    false.
+    X[k] is `solve(A[k], b[k], p)` byte for byte: a forward elimination
+    of [A | b] finds the same pivots as the RREF, and back-substitution
+    on the b column with the free coordinates 0 gives the one solution
+    that RREF reads off.  X[k] is 0 where ok[k] is false.
     """
     A = np.asarray(A, dtype=np.int64)
     B, m, n = A.shape
@@ -206,9 +204,14 @@ def solve_stack(A, b, p: int):
     rank, pivots = _eliminate_stack(T, p, n)
     # rows past the rank are zero left of b; a nonzero b there is 0 = b_i
     ok = ~((T[:, n] != 0) & (np.arange(m)[:, None] >= rank)).any(axis=0)
-    X = np.zeros((B, n + 1), dtype=np.int64)
-    X[np.arange(B), pivots] = T[:, n]  # rows past the rank land in column n
-    return ok, X[:, :n] * ok[:, None]
+    # row r is 1 at its pivot and 0 left of it: x[pivot] = b_r - row_r . x
+    X = np.zeros((n + 1, B), dtype=np.int64)
+    each = np.arange(B)
+    for r in range(min(m, n) - 1, -1, -1):
+        row = T[r].astype(np.int64)
+        live = rank > r
+        X[pivots[r, live], each[live]] = ((row[n] - (row[:n] * X[:n]).sum(axis=0)) % p)[live]
+    return ok, X[:n].T * ok[:, None]
 
 
 def inv(A, p: int):

@@ -66,13 +66,13 @@ class PresentationMatrix:
     def from_exprs(cls, algebra, rows_of_exprs) -> "PresentationMatrix":
         r = len(rows_of_exprs)
         c = len(rows_of_exprs[0]) if r else 0
-        ent = np.zeros((r, c, algebra.dim), dtype=np.int64)
-        for i, row in enumerate(rows_of_exprs):
+        parse = algebra.parse_coeffs
+        flat = []
+        for row in rows_of_exprs:
             if len(row) != c:
                 raise ValidationError("ragged matrix")
-            for j, text in enumerate(row):
-                ent[i, j] = algebra.from_expr(str(text)).coeffs
-        return cls(algebra, ent)
+            flat.extend(parse(str(text)) for text in row)
+        return cls(algebra, np.array(flat, dtype=np.int64).reshape(r, c, algebra.dim))
 
     @classmethod
     def zeros(cls, algebra, r, c) -> "PresentationMatrix":

@@ -263,11 +263,22 @@ def check_ut_tr(M: PresentationMatrix):
 
     Returns (verdict, evidence) where evidence lists, per diagonal
     entry, the entry, its partner (or None) and the individual verdict.
+    The theorem needs a minimal presentation, so a matrix with a column
+    that `prune_presentation` drops (a ring combination of the others)
+    raises ValidationError: [[x, 0], [0, 0]] presents R/(x) + R, which
+    is TR over S.  With rank L1 = c that check is one rank and no kernel.
+    A zero row alone splits off a free summand R and leaves a rest with
+    fewer generators than minimal relations; over a non-Gorenstein ring
+    with m^3 = 0 a TR module without free summands has as many of each
+    (Yoshino), so the zero diagonal entry answers rightly: not TR.
     """
     if not M.is_upper_triangular:
         raise ValidationError("matrix is not upper triangular")
     if not M.is_minimal:
         raise ValidationError("matrix is not minimal")
+    if prune_presentation(M)[0].cols != M.cols:
+        raise ValidationError(
+            "matrix is not a minimal presentation: a column is redundant")
     A = M.algebra
     evidence = []
     verdict = True

@@ -4,6 +4,7 @@ import pytest
 from trmod.algebra import (
     MAX_CHARACTERISTIC,
     AlgebraSpec,
+    RingElement,
     annihilator,
     build_algebra,
     enumerate_ezd,
@@ -202,6 +203,71 @@ def test_non_ezd_elements_exhaustive_f2():
             assert ideal_span(A, a).key() in ezd_ideals
         else:
             assert ideal_span(A, a).key() not in ezd_ideals
+
+
+_EZD_RINGS = {
+    "S:2": AlgebraSpec.canonical_s(2),
+    "S:3": AlgebraSpec.canonical_s(3),
+    "S:5": AlgebraSpec.canonical_s(5),
+    "S:3 in x, a, b": AlgebraSpec(3, ["x", "a", "b"], ["x^2", "a^2", "b^2", "a*b"]),
+    "F_3[x,y]/(x^2,y^2)": AlgebraSpec(3, ["x", "y"], ["x^2", "y^2"]),
+}
+
+
+def _partner_by_definition(A, a):
+    """The normalized b with (0:a) = (b) and (0:b) = (a), from the
+    annihilator and ideal of a itself, or None."""
+    _, gens, _ = annihilator(A, a)
+    if len(gens) != 1:
+        return None
+    b = gens[0].normalized()
+    return b if annihilator(A, b)[0] == ideal_span(A, a) else None
+
+
+@pytest.mark.parametrize("name", ["S:2", "S:3", "F_3[x,y]/(x^2,y^2)"])
+def test_partner_depends_only_on_the_linear_point(name):
+    A = build_algebra(_EZD_RINGS[name])
+    for a in A.all_elements():
+        if not a:
+            continue
+        got = exact_zero_divisor_partner(A, a)
+        assert got == _partner_by_definition(A, a)
+        if a.in_m2:
+            assert got is None
+            continue
+        point = np.zeros(A.dim, dtype=np.int64)
+        point[1 : 1 + A.e] = a.degree_one_part()
+        assert exact_zero_divisor_partner(A, RingElement(A, point).normalized()) == got
+    assert len(A._partner_cache) == (A.p**A.e - 1) // (A.p - 1)  # once per point
+
+
+def _ezd_by_sweep(A):
+    """The pairs met by a sweep of m \\ m^2 in order_key order, one per
+    ideal, normalized, with partners by definition."""
+    seen, pairs = set(), []
+    for a in sorted((a for a in A.all_elements() if not a.in_m2), key=RingElement.order_key):
+        a = a.normalized()
+        ideal = ideal_span(A, a).key()
+        if ideal in seen:
+            continue
+        b = _partner_by_definition(A, a)
+        if b is not None:
+            seen.add(ideal)
+            pairs.append((a.coeffs.tolist(), b.coeffs.tolist()))
+    return pairs
+
+
+@pytest.mark.parametrize("name", sorted(_EZD_RINGS))
+def test_enumerate_ezd_matches_sweep_of_m(name):
+    A = build_algebra(_EZD_RINGS[name])
+    got = [(pair.a.coeffs.tolist(), pair.b.coeffs.tolist()) for pair in enumerate_ezd(A)]
+    assert got == _ezd_by_sweep(A)
+
+
+def test_variable_names_must_be_identifiers():
+    for names in (["x", "1"], ["x", "y z"], ["x", "α"]):
+        with pytest.raises(ValidationError, match="identifiers"):
+            build_algebra(AlgebraSpec(2, names, ["x^2"]))
 
 
 def test_socle_of_canonical_is_m2():

@@ -294,6 +294,12 @@ def test_malformed_matrix(capsys, tmp_path):
     assert code == 3
 
 
+def test_malformed_entry_is_invalid_input(capsys, matrix_file):
+    for entry in ("x*", "x* + y", "2 3", "x^"):
+        code, _ = run(capsys, "tr", "S:2", matrix_file([["x", entry], ["0", "x"]]))
+        assert code == 3
+
+
 def test_human_output(capsys):
     code = main(["ezd", "S:2"])
     out = capsys.readouterr().out

@@ -113,6 +113,22 @@ def test_check_ut_tr_rejects_non_ut(S2):
         check_ut_tr(M(S2, [["x", "0"], ["y", "x"]]))
 
 
+def test_check_ut_tr_refuses_a_redundant_column(S2):
+    # [[x, 0], [0, 0]] presents R/(x) + R, which is TR; a zero diagonal
+    # entry says nothing when prune_presentation drops a column
+    for rows in ([["x", "0"], ["0", "0"]], [["x", "x"], ["0", "0"]],
+                 [["0", "x"], ["0", "y"]]):
+        assert prune_presentation(M(S2, rows))[0].cols < 2
+        with pytest.raises(ValidationError, match="not a minimal presentation"):
+            check_ut_tr(M(S2, rows))
+    assert check_totally_reflexive(M(S2, [["x", "0"], ["0", "0"]])).certified
+    # a zero row alone: R/(y, z) + R, answered, and not TR
+    mat = M(S2, [["y", "z"], ["0", "0"]])
+    assert prune_presentation(mat)[0].cols == 2
+    assert check_ut_tr(mat)[0] is False
+    assert check_totally_reflexive(mat).verdict == REFUTED
+
+
 def test_check_ut_tr_cross_validation(S2):
     # the diagonal criterion agrees with the resolution certificate
     for rows, expected in (([["x", "z"], ["0", "x + y"]], True),
