@@ -25,13 +25,14 @@ from .algebra import (
 )
 from .classify import classify_ut2, enumerate_cyclic_tr, swap_isomorphism_check
 from .errors import BudgetExceededError, ParseError, TrmodError, ValidationError
-from .ext import ext1, gamma, pushout_middle
+from .ext import _cyclic_generator, _gamma_count, ext1, pushout_middle
 from .filtration import filtrate_ut, find_ut_form, mb_matrix, mb_preconditions
 from .modmat import (
     DEFAULT_BUDGET,
     PresentationMatrix,
     coker_length,
     is_equivalent,
+    minimize,
 )
 from .totref import DEFAULT_DEPTH, check_totally_reflexive, complete_resolution
 
@@ -149,7 +150,7 @@ def _cmd_ext(args, A):
         ],
     }
     try:
-        payload["gamma"] = gamma(N, M)
+        payload["gamma"] = _gamma_count(space, _cyclic_generator(N), _cyclic_generator(M))
     except ValidationError:
         payload["gamma"] = None
     return payload, EXIT_OK
@@ -160,6 +161,8 @@ def _cmd_pushout(args, A):
     v = A.from_expr(args.v)
     alpha = A.from_expr(args.alpha)
     M = pushout_middle(u, v, alpha)
+    if not M.is_minimal:  # a unit alpha: report the minimal presentation
+        M = minimize(M)
     payload = {
         "matrix": dump_matrix(M),
         "length": coker_length(M),

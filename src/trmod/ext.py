@@ -198,8 +198,13 @@ def gamma(N: PresentationMatrix, T1: PresentationMatrix) -> int:
     """
     u = _cyclic_generator(N)
     v = _cyclic_generator(T1)
-    A = N.algebra
-    ext = ext1(N, T1)
+    return _gamma_count(ext1(N, T1), u, v)
+
+
+def _gamma_count(ext: ExtSpace, u: RingElement, v: RingElement) -> int:
+    """`gamma` of the cyclic generators u of N and v of T1, from an
+    Ext^1(N, T1) already computed."""
+    A = u.algebra
     value = ext.rank - _unit_class_span_dim(ext)
     if A.p != 2 and np.array_equal(A.mult_table, _canonical_mult_table(A.p)):
         df = _xyz_coeffs(A, u)

@@ -27,6 +27,15 @@ generator iff no vector of span(R_1*K) has its last nonzero coordinate
 at t, which one forward elimination of R_1*K with its columns reversed
 decides.  `prune_presentation` computes no kernel at all then: every
 kernel vector has zero degree-0 coordinates, so no column is redundant.
+
+Each matrix records the ranks of its blocks in three int slots, so a
+differential is eliminated once of each kind however many callers ask:
+rank L1 from `_linear_rank` (or, for a syzygy built from ker Lam, from
+that kernel's dimension), rank Lam from `_lam_kernel` or `graded_rank`,
+and rank lin(M^T) from `totref._dual_rank`.  The entries are read-only,
+so a record cannot go stale; kernels, syzygies and cokernel models are
+never stored, and a matrix made afresh, even with equal entries, starts
+with empty records.
 """
 
 from __future__ import annotations
@@ -46,10 +55,12 @@ DEFAULT_BUDGET = 2_000_000
 class PresentationMatrix:
     """r x c matrix of ring elements presenting coker(R^c -> R^r).
 
-    Entries are stored as one (r, c, dim) int64 array over F_p.
+    Entries are stored as one read-only (r, c, dim) int64 array over F_p.
+    `rank_l1`, `rank_lam` and `rank_dual` record rank L1, rank Lam and
+    rank lin(M^T) once computed, None before (see the module docstring).
     """
 
-    __slots__ = ("algebra", "entries")
+    __slots__ = ("algebra", "entries", "rank_l1", "rank_lam", "rank_dual")
 
     def __init__(self, algebra: GradedLocalAlgebra, entries: np.ndarray):
         entries = np.asarray(entries, dtype=np.int64) % algebra.p
@@ -57,8 +68,10 @@ class PresentationMatrix:
             raise ValidationError(
                 f"entry array must have shape (r, c, {algebra.dim})"
             )
+        entries.setflags(write=False)
         self.algebra = algebra
         self.entries = entries
+        self.rank_l1 = self.rank_lam = self.rank_dual = None
 
     # -- constructors ---------------------------------------------------------
 
@@ -199,10 +212,18 @@ def _require_minimal(M: PresentationMatrix, what: str) -> None:
 
 def _linear_rank(M: PresentationMatrix) -> int:
     """rank L1 of the (r*e) x c matrix of the columns' linear parts,
-    eliminated as its transpose: c rows."""
-    r, c, e = M.rows, M.cols, M.algebra.e
-    return linalg.rank(M.entries[:, :, 1:1 + e].transpose(1, 0, 2).reshape(c, r * e),
-                       M.algebra.p)
+    eliminated as its transpose (c rows) once per matrix."""
+    if M.rank_l1 is None:
+        r, c, e = M.rows, M.cols, M.algebra.e
+        M.rank_l1 = linalg.rank(
+            M.entries[:, :, 1:1 + e].transpose(1, 0, 2).reshape(c, r * e), M.algebra.p)
+    return M.rank_l1
+
+
+def _lam(M: PresentationMatrix) -> np.ndarray:
+    """Lam, the (r*s2) x (c*e) block of lin M from degree 1 to degree 2."""
+    e = M.algebra.e
+    return _lin_block(M, slice(1 + e, None), slice(1, 1 + e))
 
 
 def graded_rank(M: PresentationMatrix) -> int:
@@ -212,24 +233,28 @@ def graded_rank(M: PresentationMatrix) -> int:
     entries in m send R_0 to R_1 + R_2 (the (r*e) x c linear part L1 and
     the quadratic part Q), R_1 to R_2 (the (r*s2) x (c*e) block Lam) and
     R_2 to 0.  When rank L1 = c the degree-0 columns are independent of
-    everything else, so rank(lin M) = c + rank Lam; otherwise the
-    (r*(e+s2)) x (c*(1+e)) nonzero block is eliminated.  Raises
-    ValidationError on a non-minimal M, where these blocks are not lin M.
+    everything else, so rank(lin M) = c + rank Lam, with rank Lam read
+    from M's record once `_lam_kernel` (a `syzygy`) or an earlier call
+    has eliminated Lam; otherwise the (r*(e+s2)) x (c*(1+e)) nonzero
+    block is eliminated.  Raises ValidationError on a non-minimal M,
+    where these blocks are not lin M.
     """
     _require_minimal(M, "graded_rank")
     A = M.algebra
     e, c = A.e, M.cols
     if _linear_rank(M) == c:
-        return c + linalg.rank(_lin_block(M, slice(1 + e, None), slice(1, 1 + e)), A.p)
+        if M.rank_lam is None:
+            M.rank_lam = linalg.rank(_lam(M), A.p)
+        return c + M.rank_lam
     return linalg.rank(_lin_block(M, slice(1, None), slice(0, 1 + e)), A.p)
 
 
 def _lam_kernel(M: PresentationMatrix) -> np.ndarray:
-    """Canonical kernel basis of Lam, the (r*s2) x (c*e) block of lin M
-    from degree 1 to degree 2, as (c*e, k) columns; the one elimination
-    of Lam."""
-    A = M.algebra
-    return linalg.nullspace(_lin_block(M, slice(1 + A.e, None), slice(1, 1 + A.e)), A.p)
+    """Canonical kernel basis of Lam as (c*e, k) columns; the one
+    elimination of Lam, whose rank c*e - k it records on M."""
+    K = linalg.nullspace(_lam(M), M.algebra.p)
+    M.rank_lam = K.shape[0] - K.shape[1]
+    return K
 
 
 def _graded_kernel(M: PresentationMatrix, K: np.ndarray, units: list[int]) -> np.ndarray:
@@ -381,26 +406,25 @@ def prune_presentation(M: PresentationMatrix):
 
     A minimal M with rank L1 = c has no such kernel vector: the degree-1
     part of M*x is L1*x0, so x0 = 0 for every x in ker lin M.  The loop
-    then ends without computing the kernel.
+    then ends without computing the kernel.  The first pass works on M
+    itself, and M comes back as it is when nothing is dropped, so its
+    recorded rank L1 serves the caller's later steps too.
     """
     A = M.algebra
     p = A.p
-    ent = M.entries
+    cur = M
     free_rank = 0
-    changed = True
-    while changed:
-        changed = False
+    while True:
+        ent = cur.entries
         r, c = ent.shape[0], ent.shape[1]
         # zero rows are free summands
         keep_rows = [i for i in range(r) if ent[i].any()]
         if len(keep_rows) < r:
             free_rank += r - len(keep_rows)
-            ent = ent[keep_rows]
-            changed = True
+            cur = PresentationMatrix(A, ent[keep_rows])
             continue
         if c == 0:
             break
-        cur = PresentationMatrix(A, ent)
         if cur.is_minimal and _linear_rank(cur) == c:
             break  # every kernel vector has zero degree-0 coordinates
         ker = (graded_nullspace(cur) if cur.is_minimal
@@ -408,10 +432,10 @@ def prune_presentation(M: PresentationMatrix):
         # units[j, t]: constant coefficient of column j in kernel vector t
         units = ker[::A.dim] % p
         hits = np.flatnonzero(units.any(axis=0))
-        if hits.size:
-            ent = np.delete(ent, np.flatnonzero(units[:, hits[0]])[0], axis=1)
-            changed = True
-    return PresentationMatrix(A, np.ascontiguousarray(ent)), free_rank
+        if not hits.size:
+            break
+        cur = PresentationMatrix(A, np.delete(ent, np.flatnonzero(units[:, hits[0]])[0], axis=1))
+    return cur, free_rank
 
 
 @functools.cache
@@ -451,8 +475,12 @@ def syzygy(M: PresentationMatrix) -> PresentationMatrix:
     c = M.cols
     if c == 0:
         return PresentationMatrix.zeros(A, 0, 0)
+    rank_l1 = None
     if _linear_rank(M) == c:
         K = _lam_kernel(M)
+        # the generators' linear parts are K's independent columns and
+        # zeros, so the syzygy's rank L1 is k, with no elimination
+        rank_l1 = K.shape[1]
         n2 = c * A.s2
         # row (i, t): degree-1 basis element i times column t of K, in R_2^c
         RK = np.einsum("iab,jbt->itja", A._mult_ops[1:1 + e, 1 + e:, 1:1 + e],
@@ -483,7 +511,9 @@ def syzygy(M: PresentationMatrix) -> PresentationMatrix:
     k = V.shape[1]
     lead = V[(V != 0).argmax(axis=0), range(k)]
     V = V * _inverses(p)[lead] % p
-    return PresentationMatrix(A, V.reshape(c, d, k).transpose(0, 2, 1))
+    out = PresentationMatrix(A, V.reshape(c, d, k).transpose(0, 2, 1))
+    out.rank_l1 = rank_l1
+    return out
 
 
 def divide(A: GradedLocalAlgebra, w, by):

@@ -67,14 +67,20 @@ class TRCertificate:
 
 
 def _dual_rank(d: PresentationMatrix) -> int:
-    """rank(lin(d^T)), the rank of d's map on the dualized complex."""
-    return graded_rank(d.transpose())
+    """rank(lin(d^T)), the rank of d's map on the dualized complex,
+    computed once per matrix and recorded on d."""
+    if d.rank_dual is None:
+        d.rank_dual = graded_rank(d.transpose())
+    return d.rank_dual
 
 
 def _ranks(d: PresentationMatrix) -> tuple[int, int]:
     """(rank(lin d), rank(lin d^T)): exactness at a spot of the complex
     and of its dual are equations between these ranks of its two maps.
-    Both are graded ranks, so a non-minimal d raises ValidationError."""
+    Both are graded ranks, so a non-minimal d raises ValidationError.
+    They come from d's record: a differential of a resolution built in
+    this process was ranked as it was built, and a matrix made afresh
+    (say, parsed from a certificate) is eliminated on first use."""
     return graded_rank(d), _dual_rank(d)
 
 
@@ -97,11 +103,14 @@ def _products_vanish(d_prev: PresentationMatrix, d_next: PresentationMatrix) -> 
 def verify_periodic_window(window: list[PresentationMatrix]) -> bool:
     """Replay a periodic window: cyclic products vanish, forward and dual
     exactness hold at every spot of one full period (a dumb-verifier
-    check, independent of how the window was built).
+    check that reads only the window's matrices, whatever built them).
 
-    Each matrix's forward and dual rank is computed once, from the
-    window itself, and every spot is tested from the ranks of its two
-    matrices: 2 ranks per matrix.
+    Every spot is tested from the `_ranks` of its two matrices.  From
+    `_try_certify` these are the certifier's own differentials, whose
+    ranks were recorded as the resolution was built, so the replay
+    eliminates nothing again.  A window parsed fresh, as from a
+    certificate file, has empty records and is eliminated from scratch,
+    once per matrix and kind.
     """
     L = len(window)
     if L == 0:
@@ -165,7 +174,6 @@ def check_totally_reflexive(
     # the step indices of each differential, oldest first, by its bytes
     seen = {M.key(): [0]}
     betti = [n]
-    dual_cur = _dual_rank(M)
     for step in range(1, depth + 1):
         d_cur = ds[-1]
         # step 1's d_cur is M, already checked above
@@ -185,18 +193,20 @@ def check_totally_reflexive(
                          "shape": [d_next.rows, d_next.cols]},
                 log=log + [f"step {step}: Betti number changed to {d_next.cols}"],
             )
+        # a literal repeat goes on as the earlier differential itself,
+        # whose ranks are recorded already
+        earlier = seen.setdefault(d_next.key(), [])
+        if earlier:
+            d_next = ds[earlier[0]]
         # dual exactness: im(lin(d_cur^T)) = ker(lin(d_next^T))
-        dual_next = _dual_rank(d_next)
-        if dual_cur + dual_next != d_next.rows * A.dim:
+        if _dual_rank(d_cur) + _dual_rank(d_next) != d_next.rows * A.dim:
             return TRCertificate(
                 verdict=REFUTED, depth=step, betti=betti,
                 witness={"kind": "ext_nonvanishing", "index": step},
                 log=log + [f"step {step}: Ext^{step}(M, R) != 0"],
             )
         ds.append(d_next)
-        dual_cur = dual_next
         log.append(f"step {step}: syzygy computed, Betti {d_next.cols}")
-        earlier = seen.setdefault(d_next.key(), [])
         for i in earlier:
             cert = _try_certify(ds, betti, log, i)
             if cert is not None:

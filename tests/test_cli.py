@@ -154,6 +154,24 @@ def test_ext_with_gamma(capsys, matrix_file):
     assert rep["result"]["gamma"] == 2
 
 
+def test_ext_computes_ext1_once(capsys, matrix_file, monkeypatch):
+    # gamma's count reads the Ext space the command already has
+    from trmod import cli, ext
+    calls = []
+    ext1 = ext.ext1
+    def spy(N, M):
+        calls.append((N, M))
+        return ext1(N, M)
+    monkeypatch.setattr(cli, "ext1", spy)
+    monkeypatch.setattr(ext, "ext1", spy)
+    n = matrix_file([["x + y"]], "n.json")
+    m = matrix_file([["x"]], "m2.json")
+    code, rep = run(capsys, "ext", "S:3", n, m)
+    assert code == 0
+    assert (rep["result"]["rank"], rep["result"]["gamma"]) == (1, 1)
+    assert len(calls) == 1
+
+
 def test_ext_gamma_none_for_non_cyclic(capsys, matrix_file):
     n = matrix_file([["x", "y"], ["0", "x"]], "n.json")
     m = matrix_file([["x"]], "m2.json")
@@ -168,6 +186,19 @@ def test_pushout(capsys):
     assert code == 0
     assert rep["result"]["matrix"]["entries"] == [["x", "y"], ["0", "x"]]
     assert rep["result"]["length"] == 6
+
+
+def test_pushout_with_unit_alpha_is_minimal(capsys, tmp_path):
+    # alpha = 1 splits off nothing: [[x, 1], [0, x]] presents R itself,
+    # reported as its minimal 1 x 0 presentation, which tr certifies
+    code, rep = run(capsys, "pushout", "S:2",
+                    "--u", "x", "--v", "x", "--alpha", "1")
+    assert code == 0
+    assert rep["result"]["matrix"] == {"rows": 1, "cols": 0, "entries": [[]]}
+    assert rep["result"]["length"] == 6
+    free = write_json(tmp_path / "free.json", rep["result"]["matrix"])
+    code, rep = run(capsys, "tr", "S:2", free)
+    assert code == 0 and rep["result"]["verdict"] == "certified"
 
 
 def test_pushout_non_cocycle(capsys):

@@ -227,41 +227,56 @@ def test_budget_stop_in_equivalence_search_is_no_match(S2, monkeypatch):
 
 
 def test_one_dual_rank_per_differential(S2, monkeypatch):
-    # the loop carries rank(lin d^T) from one step to the next, and the
-    # window replay takes a forward and a dual rank of each matrix once;
-    # each is a graded rank: rank L1 on the n x (n*e) transpose of the
-    # linear part, then, with L1 injective, rank Lam on the (n*s2) x (n*e)
-    # degree-1 block
+    # each distinct differential of one certification gets at most one
+    # rank L1 (none for a syzygy, whose rank L1 is its Lam kernel's
+    # dimension), one elimination of Lam (its kernel in syzygy) and one
+    # dual rank (rank L1 and rank Lam of its transpose), recorded on the
+    # matrix; the window replay, its junction and the certificate's
+    # coker length read those records and eliminate nothing
     import numpy as np
-    from trmod import linalg, totref
-    calls = []  # (phase, shape of the ranked matrix)
+    from trmod import linalg, modmat, totref
+    calls = []  # (phase, function, shape, bytes of the eliminated matrix)
     phase = ["loop"]
-    rank = linalg.rank
-    def spy(mat, p):
-        calls.append((phase[0], np.shape(mat)))
-        return rank(mat, p)
+    def spy(fn):
+        def wrapped(mat, p):
+            mat = np.asarray(mat)
+            calls.append((phase[0], fn.__name__, mat.shape, mat.tobytes()))
+            return fn(mat, p)
+        return wrapped
     verify = totref.verify_periodic_window
     def replay(window):
         phase[0] = "replay"
-        try:
-            return verify(window)
-        finally:
-            phase[0] = "after"
-    monkeypatch.setattr(linalg, "rank", spy)
+        return verify(window)
+    monkeypatch.setattr(linalg, "rank", spy(linalg.rank))
+    monkeypatch.setattr(linalg, "nullspace", spy(linalg.nullspace))
     monkeypatch.setattr(totref, "verify_periodic_window", replay)
     mat = M(S2, [["x", "z"], ["y", "x"]])
     cert = check_totally_reflexive(mat)
     assert cert.certified and (cert.preperiod, cert.period) == (1, 2)
-    n, e, s2 = mat.rows, S2.e, S2.s2
-    linear, lam = (n, n * e), (n * s2, n * e)
+    n = mat.rows
     # no rank eliminates a whole n*dim square of lin d
-    assert (n * S2.dim, n * S2.dim) not in [shape for _, shape in calls]
-    # has_m2_column, syzygy and prune rank only linear parts; every Lam
-    # rank in the loop is the dual rank of one differential
-    loop = [shape for ph, shape in calls if ph == "loop"]
-    assert set(loop) == {linear, lam}
-    assert loop.count(lam) == len(cert.betti) == 4
-    assert [shape for ph, shape in calls if ph == "replay"] == [linear, lam] * (2 * cert.period)
+    assert (n * S2.dim, n * S2.dim) not in [shape for _, _, shape, _ in calls]
+    assert [c for c in calls if c[0] != "loop"] == []
+
+    def linear(d):
+        L1 = d.entries[:, :, 1:1 + S2.e].transpose(1, 0, 2).reshape(d.cols, -1)
+        return ("rank", L1.shape, L1.tobytes())
+
+    def lam(d, fn):
+        block = modmat._lam(d)
+        return (fn, block.shape, block.tobytes())
+
+    distinct = cert.prefix + cert.window  # d_1, d_2, d_3; d_4 = d_2
+    want = [linear(mat)] + [elim for d in distinct for elim in
+                            (lam(d, "nullspace"), linear(d.transpose()),
+                             lam(d.transpose(), "rank"))]
+    assert sorted(c[1:] for c in calls) == sorted(want)
+    # a window made afresh, as when parsed from a certificate, is
+    # eliminated from scratch: rank L1 and rank Lam of each matrix and
+    # of its transpose
+    calls.clear()
+    assert verify([PresentationMatrix(S2, d.entries.copy()) for d in cert.window])
+    assert [c[1] for c in calls] == ["rank"] * (4 * cert.period)
 
 
 def test_literal_repeats_found_without_eq(S2, S3, monkeypatch):
