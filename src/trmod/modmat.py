@@ -32,10 +32,21 @@ Each matrix records the ranks of its blocks in three int slots, so a
 differential is eliminated once of each kind however many callers ask:
 rank L1 from `_linear_rank` (or, for a syzygy built from ker Lam, from
 that kernel's dimension), rank Lam from `_lam_kernel` or `graded_rank`,
-and rank lin(M^T) from `totref._dual_rank`.  The entries are read-only,
-so a record cannot go stale; kernels, syzygies and cokernel models are
-never stored, and a matrix made afresh, even with equal entries, starts
-with empty records.
+and rank lin(M^T) from `totref._dual_rank`.  `is_minimal` likewise
+scans the constant coefficients once, on its first ask.  The entries
+are read-only, so a record cannot go stale; kernels, syzygies and
+cokernel models are never stored, and a matrix made afresh, even with
+equal entries, starts with empty records.
+
+Endomorphisms of coker M are pairs (phi0, phi1) with phi0*M = M*phi1,
+and the grading splits this system too: the degree-0 parts (P0, Q0)
+of a solution are exactly those with P0*M1 = M1*Q0 and P0*M2 - M2*Q0
+in the span of `correction_space(M)`.  So the top algebra {P0}, which
+decides `is_indecomposable`, comes from r*r + c*c unknowns
+(`_top_algebra`).  The full system and the q x q operators it induces
+on the cokernel are built by `endomorphism_space`, and by
+`is_indecomposable` only for a module it finds decomposable, and then
+only for the kernel columns its idempotent is made of.
 """
 
 from __future__ import annotations
@@ -57,10 +68,11 @@ class PresentationMatrix:
 
     Entries are stored as one read-only (r, c, dim) int64 array over F_p.
     `rank_l1`, `rank_lam` and `rank_dual` record rank L1, rank Lam and
-    rank lin(M^T) once computed, None before (see the module docstring).
+    rank lin(M^T) once computed, None before (see the module docstring);
+    `_minimal` records `is_minimal` on its first ask.
     """
 
-    __slots__ = ("algebra", "entries", "rank_l1", "rank_lam", "rank_dual")
+    __slots__ = ("algebra", "entries", "rank_l1", "rank_lam", "rank_dual", "_minimal")
 
     def __init__(self, algebra: GradedLocalAlgebra, entries: np.ndarray):
         entries = np.asarray(entries, dtype=np.int64) % algebra.p
@@ -71,7 +83,7 @@ class PresentationMatrix:
         entries.setflags(write=False)
         self.algebra = algebra
         self.entries = entries
-        self.rank_l1 = self.rank_lam = self.rank_dual = None
+        self.rank_l1 = self.rank_lam = self.rank_dual = self._minimal = None
 
     # -- constructors ---------------------------------------------------------
 
@@ -107,8 +119,10 @@ class PresentationMatrix:
 
     @property
     def is_minimal(self) -> bool:
-        """No unit entries (every entry lies in m)."""
-        return not self.entries[:, :, 0].any()
+        """No unit entries (every entry lies in m); scanned once per matrix."""
+        if self._minimal is None:
+            self._minimal = not self.entries[:, :, 0].any()
+        return self._minimal
 
     @property
     def is_upper_triangular(self) -> bool:
@@ -861,6 +875,43 @@ def _gl_order(n: int, p: int) -> int:
 # -- indecomposability ---------------------------------------------------------
 
 
+def _commutator_system(X: np.ndarray) -> np.ndarray:
+    """The linear map (P0, Q0) -> P0*X - X*Q0 for scalar P0 (r x r) and
+    Q0 (c x c) and an (r, c, t) coefficient array X: an (r*c*t) x
+    (r*r + c*c) matrix, rows in (i, j, coordinate) order, unknowns P0
+    then Q0, each read row by row."""
+    r, c, t = X.shape
+    left = np.einsum("ia,ljf->ijfal", np.eye(r, dtype=np.int64), X)
+    right = np.einsum("ilf,jb->ijflb", X, np.eye(c, dtype=np.int64))
+    return np.concatenate([left.reshape(r * c * t, r * r),
+                           -right.reshape(r * c * t, c * c)], axis=1)
+
+
+def _top_algebra(M: PresentationMatrix) -> np.ndarray:
+    """A basis of pi(E) = {phi0[:, :, 0]} for the endomorphisms
+    (phi0, phi1) of a minimal M, as an (n, r, r) array.
+
+    Split phi0 = P0 + P1 + P2 and phi1 = Q0 + Q1 + Q2 by degree and
+    M = M1 + M2.  Since m^3 = 0, phi0*M = M*phi1 reads P0*M1 = M1*Q0 in
+    degree 1 and P0*M2 - M2*Q0 = M1*Q1 - P1*M1 in degree 2, and nothing
+    in higher degrees; P2 and Q2 are free.  As P1 and Q1 range over all
+    degree-1 matrices the right side of degree 2 fills the span of
+    `correction_space(M)`.  So P0 lies in pi(E) iff some Q0 has
+    P0*M1 = M1*Q0 and W*(P0*M2 - M2*Q0) = 0, for W the left kernel of
+    that span: r*c*e equations (and W's rows when M2 != 0) on the
+    r*r + c*c unknowns (P0, Q0), instead of the full endomorphism system.
+    """
+    A = M.algebra
+    p, e, r = A.p, A.e, M.rows
+    sys = _commutator_system(M.entries[:, :, 1:1 + e])
+    M2 = M.entries[:, :, 1 + e:]
+    if M2.any():
+        W = linalg.nullspace(correction_space(M).T, p).T
+        sys = np.concatenate([sys, W @ _commutator_system(M2)])
+    P0 = linalg.nullspace(sys % p, p)[: r * r]
+    return P0[:, linalg.independent_columns(P0, p)].T.reshape(-1, r, r)
+
+
 def _endomorphism_kernel(M: PresentationMatrix) -> np.ndarray:
     """Kernel N of the endomorphism system: its columns span the pairs
     (phi0, phi1) of ring matrices with phi0*M = M*phi1, phi0 read from
@@ -882,23 +933,20 @@ def _endomorphism_kernel(M: PresentationMatrix) -> np.ndarray:
     return linalg.nullspace(sys, p)
 
 
-def _endomorphism_operators(M: PresentationMatrix, N: np.ndarray):
-    """(cok, basis): the operators on coker M of the phi0 in the kernel N,
-    the independent ones in the order of N's columns."""
+def _endomorphism_operators(cok: CokernelSpace, N: np.ndarray) -> np.ndarray:
+    """The q x q operators on cok (the CokernelSpace of M) of the phi0 of
+    the columns of N, columns of M's endomorphism kernel, as (k, q, q)."""
+    M = cok.M
     A = M.algebra
-    p = A.p
     d = A.dim
     r = M.rows
-    cok = CokernelSpace(M)
     q, k = cok.length, N.shape[1]
     # every phi0 linearized on R^r; the columns at cok.coords of all of
     # them, side by side, projected in one call
     phi0 = PresentationMatrix(A, N[: r * r * d].T.reshape(k * r, r, d))
     big = linearize(phi0).reshape(k, r * d, r * d)[:, :, cok.coords]
     ops = cok.project(big.transpose(1, 0, 2).reshape(r * d, k * q))
-    ops = ops.reshape(q, k, q).transpose(1, 0, 2).reshape(k, q * q)
-    keep = linalg.independent_columns(ops.T, p)
-    return cok, ops[keep].reshape(len(keep), q, q)
+    return ops.reshape(q, k, q).transpose(1, 0, 2)
 
 
 def endomorphism_space(M: PresentationMatrix):
@@ -910,10 +958,15 @@ def endomorphism_space(M: PresentationMatrix):
     only on phi0 modulo matrices whose columns land in im(M).  Each phi0
     of the kernel basis is linearized and its columns at the cokernel
     coordinates projected, and the independent operators are kept in
-    kernel order.  `is_indecomposable` solves the same system and builds
-    these operators only for a module it finds decomposable.
+    kernel order.  `is_indecomposable` solves the same system, and
+    builds these operators only for the kernel columns an idempotent of
+    a module it finds decomposable is made of.
     """
-    return _endomorphism_operators(M, _endomorphism_kernel(M))
+    cok = CokernelSpace(M)
+    ops = _endomorphism_operators(cok, _endomorphism_kernel(M))
+    q = cok.length
+    keep = linalg.independent_columns(ops.reshape(len(ops), q * q).T, M.algebra.p)
+    return cok, ops[keep]
 
 
 def _charpoly_coeffs(Mt: np.ndarray, p: int) -> np.ndarray:
@@ -1036,21 +1089,28 @@ def is_indecomposable(M: PresentationMatrix):
     here: phi in ker pi maps V into mV, and phi(mV) = m phi(V) since phi
     is module-linear, so m^3 = 0 gives phi^3 = 0.  A nilpotent ideal lies
     in the Jacobson radical, so J(E) = pi^-1(J(pi E)) and
-    E/J(E) = pi E / J(pi E).
+    E/J(E) = pi E / J(pi E).  M is minimal, so im(lin M) lies in m R^r
+    and projecting to the cokernel leaves the r degree-0 coordinates
+    alone: the top block of phi's operator is phi0[:, :, 0].
 
-    Stage one reads pi(E) off the kernel N of the endomorphism system
-    alone.  M is minimal, so im(lin M) lies in m R^r and projecting to
-    the cokernel leaves the r degree-0 coordinates alone: the top block
-    of phi's operator is phi0[:, :, 0], and the degree-0 phi0 rows of N
-    span pi(E).  The verdict, dim pi(E), J(pi E), dim E/J and whether
-    E/J has a nontrivial idempotent do not depend on the basis of pi(E),
-    so a module found indecomposable (or too large to sweep) never has
-    its q x q operators built.  Stage two, only for an idempotent found,
-    builds E's operator basis from the same N (`endomorphism_space`'s
-    basis) and picks the complement of J, the structure constants, the
-    sweep's idempotent and its lift in that basis.  J is shared between
-    the stages: the complement and the comp-coordinates of the products
-    and of 1 depend on span(J) only, not on its basis.
+    Stage one (the verdict) reads pi(E) off the degree-0 system of
+    `_top_algebra`: r*r + c*c unknowns (P0, Q0) instead of the full
+    endomorphism system.  The verdict, dim pi(E), J(pi E), dim E/J and
+    whether E/J has a nontrivial idempotent do not depend on the basis
+    of pi(E), so a module found indecomposable (or too large to sweep)
+    never solves the endomorphism system nor builds an operator.
+
+    Stage two, only for an idempotent found, solves the endomorphism
+    system for its kernel N and sweeps E/J once more on the tops
+    phi0[:, :, 0] of all of N's columns, which picks the complement of J
+    among them, the structure constants and the sweep's idempotent in
+    the basis `endomorphism_space` keeps: a column it drops has its
+    operator, and hence its top, in the span of earlier ones, so the
+    complement lies among its columns.  Only those columns are
+    linearized and projected to the cokernel, and the idempotent is
+    lifted there.  J is shared between the stages: the complement and
+    the comp-coordinates of the products and of 1 depend on span(J)
+    only, not on its basis.
     """
     if not M.is_minimal:
         raise ValidationError("indecomposability requires a minimal matrix")
@@ -1060,28 +1120,26 @@ def is_indecomposable(M: PresentationMatrix):
     A = M.algebra
     p = A.p
     r, d = M.rows, A.dim
-    N = _endomorphism_kernel(M)
-    top = N[: r * r * d].reshape(r, r, d, -1)[:, :, 0].transpose(2, 0, 1) % p
-    basis0 = linalg.independent_columns(top.reshape(-1, r * r).T, p)
-    if len(basis0) == 1:
+    top = _top_algebra(M)
+    if len(top) == 1:
         return True, None  # only scalars
-    rad = _radical_of_matrix_algebra(top[basis0], p)
+    rad = _radical_of_matrix_algebra(top, p)
     if rad is None:
         # unverifiable chain: take J = ker pi, which is nilpotent; the
         # quotient sweep below stays correct, just larger
         rad = np.zeros((0, r, r), dtype=np.int64)
     rad = rad.reshape(-1, r * r)
-    if _quotient_idempotent(top[basis0], rad, p)[1] is None:
+    if _quotient_idempotent(top, rad, p)[1] is None:
         return True, None
-    cok, basis = _endomorphism_operators(M, N)
-    q = cok.length
-    # the r degree-0 coordinates are all in cok.coords
-    deg0 = [k for k, c in enumerate(cok.coords) if c % d == 0]
-    comp, found = _quotient_idempotent(basis[:, deg0][:, :, deg0] % p, rad, p)
+    N = _endomorphism_kernel(M)
+    tops = N[: r * r * d].reshape(r, r, d, -1)[:, :, 0].transpose(2, 0, 1) % p
+    comp, found = _quotient_idempotent(tops, rad, p)
     if found is None:
-        raise AssertionError("quotient idempotent lost in the operator basis")
+        raise AssertionError("quotient idempotent lost in the kernel basis")
+    cok = CokernelSpace(M)
+    q = cok.length
     # lift the quotient idempotent to an exact one (error squares each step)
-    e = np.einsum("t,tij->ij", found, basis[comp]) % p
+    e = np.einsum("t,tij->ij", found, _endomorphism_operators(cok, N[:, comp])) % p
     for _ in range(2 * q + 4):
         if ((e @ e) % p == e).all():
             break

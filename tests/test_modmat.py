@@ -1089,6 +1089,9 @@ def test_recorded_ranks_match_a_fresh_elimination(mat):
         assert mat.rank_l1 is not None
         assert mat.rank_lam is not None or mat.rank_l1 < mat.cols
     fresh = PresentationMatrix(A, mat.entries.copy())
+    # minimality is recorded on its first ask, never at construction
+    assert mat._minimal is True and fresh._minimal is None
+    assert syz.is_minimal == (not syz.entries[:, :, 0].any()) == syz._minimal
     assert graded_rank(mat) == linalg.rank(linearize(fresh), A.p)
     assert dual == mat.rank_dual == linalg.rank(linearize(fresh.transpose()), A.p)
     with pytest.raises(ValueError):
@@ -1294,8 +1297,9 @@ def test_is_indecomposable_budget_stop(S3):
 
 
 def test_is_indecomposable_builds_operators_only_for_idempotents(S2, S3, monkeypatch):
-    # an indecomposable module is decided from the endomorphism kernel
-    # alone; only a found idempotent needs the cokernel and its operators
+    # an indecomposable module is decided from the degree-0 system alone;
+    # only a found idempotent needs the endomorphism kernel, the cokernel
+    # and its operators
     ezd = sorted((pair.a for pair in enumerate_ezd(S3)), key=lambda g: g.order_key())
     triples = [_ut2(S3, u, t, a) for u in ezd[:3] for t in ezd[:3]
                for a in superdiagonal_candidates(S3)[:2]]
@@ -1309,6 +1313,7 @@ def test_is_indecomposable_builds_operators_only_for_idempotents(S2, S3, monkeyp
 
     def refuse(*args, **kwargs):
         raise Built
+    monkeypatch.setattr(modmat, "_endomorphism_kernel", refuse)
     monkeypatch.setattr(modmat, "CokernelSpace", refuse)
     monkeypatch.setattr(modmat, "linearize", refuse)
     for mat in indecomposable:
@@ -1320,21 +1325,56 @@ def test_is_indecomposable_builds_operators_only_for_idempotents(S2, S3, monkeyp
 @pytest.mark.parametrize("p, seed", [(2, 11), (3, 12), (5, 13)])
 def test_top_algebra_is_degree_zero_rows_of_kernel(p, seed):
     # pi(E), read off the kernel as phi0[:, :, 0], spans the top block of
-    # the q x q operators endomorphism_space builds from the same kernel
+    # the q x q operators endomorphism_space builds from the same kernel,
+    # and _top_algebra's r*r + c*c unknown degree-0 system gives a basis
+    # of it, on quadratic, non-square and c = 0 inputs alike
     checked = 0
+    seen = {"quadratic": 0, "non_square": 0, "no_columns": 0}
     for mat in _cases(p, seed):
         if not (mat.rows and mat.is_minimal):
             continue
-        r, d = mat.rows, mat.algebra.dim
+        r, d, e = mat.rows, mat.algebra.dim, mat.algebra.e
         N = modmat._endomorphism_kernel(mat)
         top_rows = N[: r * r * d].reshape(r, r, d, -1)[:, :, 0]
+        span = linalg.Subspace(r * r, p, top_rows.reshape(r * r, -1).T)
         cok, basis = endomorphism_space(mat)
         top = [k for k, c in enumerate(cok.coords) if c % d == 0]
         ops_top = basis[:, top][:, :, top]
-        assert (linalg.Subspace(r * r, p, top_rows.reshape(r * r, -1).T)
-                == linalg.Subspace(r * r, p, ops_top.reshape(len(basis), r * r)))
+        assert span == linalg.Subspace(r * r, p, ops_top.reshape(len(basis), r * r))
+        pi_e = modmat._top_algebra(mat).reshape(-1, r * r)
+        assert span == linalg.Subspace(r * r, p, pi_e) and span.dim == len(pi_e)
         checked += 1
-    assert checked >= 32
+        seen["quadratic"] += bool(mat.entries[:, :, 1 + e:].any())
+        seen["non_square"] += not mat.is_square
+        seen["no_columns"] += mat.cols == 0
+    assert checked >= 32 and all(seen.values()), seen
+
+
+def test_is_indecomposable_linearizes_only_the_idempotents_columns(monkeypatch):
+    # stage two linearizes the phi0 of exactly mc = dim E/J kernel
+    # columns, not all of the kernel's
+    linearized = []
+    lin = modmat.linearize
+    def spy(mat):
+        linearized.append(mat)
+        return lin(mat)
+    monkeypatch.setattr(modmat, "linearize", spy)
+    decomposable = 0
+    for mat in _top_algebra_cases():
+        p, r = mat.algebra.p, mat.rows
+        top = modmat._top_algebra(mat)
+        rad = modmat._radical_of_matrix_algebra(top, p)
+        mc = len(top) - (0 if rad is None else len(rad))
+        k = modmat._endomorphism_kernel(mat).shape[1]
+        linearized.clear()
+        indec, _ = is_indecomposable(mat)
+        phi0 = [m for m in linearized if m is not mat]
+        if indec:
+            assert not phi0
+            continue
+        assert [m.rows for m in phi0] == [mc * r] and mc < k
+        decomposable += 1
+    assert decomposable >= 10
 
 
 def test_zero_cokernel_of_a_0_by_c_presentation(S2):
