@@ -172,7 +172,7 @@ def _cmd_pushout(args, A):
 
 def _cmd_filtrate(args, A):
     M = load_matrix(args.matrix, A)
-    found = find_ut_form(M)
+    found = find_ut_form(M, budget=args.budget)
     if found is None:
         return {"ut_form": None,
                 "message": "no UT form exists (exhaustive)"}, EXIT_REFUTED
@@ -290,7 +290,7 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--json", action="store_true", help="emit a JSON report")
     ap.add_argument("--allow-gorenstein", action="store_true")
     ap.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
-                    help="search budget of equiv and classify")
+                    help="search budget of equiv, classify and filtrate")
     sub = ap.add_subparsers(dest="command", required=True)
 
     ring = sub.add_parser("ring", help="ring-level reports")

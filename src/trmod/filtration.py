@@ -4,11 +4,14 @@ An upper triangular presentation matrix encodes a chain of submodules:
 the leading i x i blocks present T_1 c T_2 c ... c T_n with cyclic
 quotients R/(t_ii).  This module extracts that chain, performs the
 inverse step (peeling the last cyclic quotient off via the syzygy), and
-searches for upper triangular forms of arbitrary square matrices.
+searches for upper triangular forms of arbitrary square matrices, one
+pair of scalar parts per pair of complete flags of F_p^n.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import warnings
 from dataclasses import dataclass, field as dc_field
 
@@ -25,17 +28,17 @@ from .algebra import (
 )
 from .errors import BudgetExceededError, ValidationError
 from .modmat import (
+    DEFAULT_BUDGET,
     _GL_CHUNK,
+    _all_vectors,
     _below_diagonal,
+    _gl_order,
     _lift_witness,
     EquivalenceWitness,
     PresentationMatrix,
-    bilinear_table,
     coker_length,
     correction_space,
     divide,
-    general_linear_group,
-    gl_vector_numbers,
     ring_identity,
     syzygy,
 )
@@ -171,31 +174,85 @@ def _isolate_partner(T: PresentationMatrix, s: RingElement):
 
 # -- upper triangular form search ---------------------------------------------
 
-_UT_SEARCH_MAX_N = 3
-_UT_SEARCH_MAX_P = 3
+
+@functools.cache
+def flag_representatives(n: int, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """(P0s, Q0s): one matrix of each coset B*g of GL_n(F_p) in P0s and
+    one of each coset g*B in Q0s, B the invertible upper triangular
+    matrices; read-only (F, n, n) arrays, F = [n]_p!.
+
+    Q0s is built one Schubert cell at a time, the permutations w in
+    itertools.permutations(range(n)) order.  Column j of a cell-w matrix
+    has a 1 at row w(j), zeros at rows w(0), ..., w(j-1) and at the rows
+    below w(j) that are not yet pivots, and free entries at the rows
+    above w(j) that are not yet pivots.  Within a cell the free entries,
+    read column by column from the top, run through
+    itertools.product(range(p), ...).  Column operations by B reduce any
+    invertible g to exactly one such matrix.  P0s[k] is J * Q0s[k]^T for
+    J the antidiagonal permutation, since B*J*g^T = J*(g*B)^T.
+    """
+    cells = []
+    for w in itertools.permutations(range(n)):
+        free = [(r, j) for j in range(n) for r in range(w[j]) if r not in w[:j]]
+        cell = np.zeros((p ** len(free), n, n), dtype=np.int64)
+        cell[:, list(w), range(n)] = 1
+        if free:
+            rows, cols = zip(*free)
+            cell[:, rows, cols] = _all_vectors(len(free), p)
+        cells.append(cell)
+    Q0s = np.concatenate(cells)
+    P0s = Q0s.transpose(0, 2, 1)[:, ::-1].copy()
+    P0s.flags.writeable = Q0s.flags.writeable = False
+    return P0s, Q0s
 
 
-def find_ut_form(M: PresentationMatrix):
+@functools.cache
+def _flag_vectors(n: int, p: int) -> tuple[np.ndarray, ...]:
+    """(us, row_of, vs, col_of) for `flag_representatives(n, p)`: us
+    holds the distinct rows lo_i[t] of the P0s and vs the distinct
+    columns lo_j[t] of the Q0s, (lo_i, lo_j) the below-diagonal
+    positions; row lo_i[t] of P0s[k] is us[row_of[k, t]] and column
+    lo_j[t] of Q0s[k] is vs[col_of[k, t]].  Each holds at most
+    [n]_p! * n(n-1)/2 vectors, however large p^n is.  Read-only."""
+    P0s, Q0s = flag_representatives(n, p)
+    lo_i, lo_j = _below_diagonal(n)
+    out = []
+    for X in (P0s[:, lo_i], Q0s.transpose(0, 2, 1)[:, lo_j]):
+        vecs, of = np.unique(X.reshape(-1, n), axis=0, return_inverse=True)
+        of = of.reshape(X.shape[:2])
+        vecs.flags.writeable = of.flags.writeable = False
+        out += [vecs, of]
+    return tuple(out)
+
+
+def find_ut_form(M: PresentationMatrix, budget: int = DEFAULT_BUDGET):
     """Upper triangular form of M under equivalence, if one exists.
 
     An upper triangular M is returned as it is, with the identity
-    witness, at any size.  Otherwise the search exhausts scalar parts
-    (P0, Q0) over GL_n x GL_n: a pair whose transformed linear part is
-    upper triangular is UT-compatible, and solvability of its
-    below-diagonal quadratic system (over the correction space of M)
-    decides whether a full UT form exists.  Returns (witness, UT form),
-    or None after the certified-exhaustive sweep.
+    witness, at any size.  Otherwise the search runs over scalar parts
+    (P0, Q0), one pair per flag pair: P0 from B\\GL_n and Q0 from GL_n/B
+    (`flag_representatives`), B the invertible upper triangular
+    matrices.  A pair whose transformed linear part is upper triangular
+    is UT-compatible, and solvability of its below-diagonal quadratic
+    system (over the correction space of M) decides whether a full UT
+    form exists.  Both are constant on each coset pair: if P0*(I + A)
+    and (I + B1)*Q0 carry M to a UT form N, then b*P0*(I + A) and
+    (I + B1)*Q0*b' carry it to b*N*b', also UT, for any b, b' in B.  So
+    the [n]_p!^2 flag pairs decide what all of GL_n x GL_n would.
+    Returns (witness, UT form), or None after the certified-exhaustive
+    sweep.  Raises BudgetExceededError when the flag pairs number more
+    than `budget`.
 
     The UT-compatible pairs are picked out by one table lookup for a
-    block of P0 at a time, in the order P0, then Q0, of GL_n, and their
-    systems are solved a chunk of pairs at a time by one stacked
-    elimination (`linalg.solve_stack`).  A block covers at most
-    _GL_CHUNK pairs and a chunk holds at most _GL_CHUNK coefficients of
-    the stacked systems, so memory does not grow with |GL_n|^2 or with
-    the number of pairs.  The form is the smallest, by
-    RingElement.order_key entry by entry row-major, of the particular
-    solutions of the solvable pairs, one per pair; equal candidates are
-    equal byte for byte.  It is not in general the smallest UT form of M.
+    block of P0 at a time, in the order P0, then Q0, of
+    `flag_representatives`, and their systems are solved a chunk of
+    pairs at a time by one stacked elimination (`linalg.solve_stack`).
+    A block covers at most _GL_CHUNK pairs and a chunk holds at most
+    _GL_CHUNK coefficients of the stacked systems.  The form is the
+    smallest, by RingElement.order_key entry by entry row-major, of the
+    particular solutions of the solvable flag pairs, one per pair; equal
+    candidates are equal byte for byte.  It is not in general the
+    smallest UT form of M.
 
     The witness is the lift of the pair that produced the form, not the
     result of a second search.  For the pair's particular solution
@@ -218,10 +275,12 @@ def find_ut_form(M: PresentationMatrix):
     if M.is_upper_triangular:
         I = ring_identity(A, n)
         return EquivalenceWitness(A, I, I.copy()), M
-    for name, value, cap in (("n", n, _UT_SEARCH_MAX_N), ("p", p, _UT_SEARCH_MAX_P)):
-        if value > cap:
-            raise BudgetExceededError(f"UT-form search limited to {name} <= {cap}",
-                                      required=value, budget=cap)
+    # [n]_p! = |GL_n| / |B| flags on each side
+    pairs = (_gl_order(n, p) // ((p - 1) ** n * p ** (n * (n - 1) // 2))) ** 2
+    if pairs > budget:
+        raise BudgetExceededError(
+            f"UT-form search budget exceeded: {pairs} flag pairs of "
+            f"{n} x {n} matrices over F_{p}", required=pairs, budget=budget)
     e, s2 = A.e, A.s2
     corr = correction_space(M)
     # the quadratic part and the correction generators, one row per entry
@@ -231,22 +290,23 @@ def find_ut_form(M: PresentationMatrix):
     # M's non-constant coordinates, one n x n matrix per coordinate
     M_pos = M.entries[..., 1:].transpose(2, 0, 1)
     A1 = M.linear_part()
-    GL = general_linear_group(n, p)
+    P0s, Q0s = flag_representatives(n, p)
     lo_i, lo_j = _below_diagonal(n)
+    us, row_of, vs, col_of = _flag_vectors(n, p)
     # below-diagonal entry t of P0*A1*Q0 is u*A1*v for u row lo_i[t] of P0
     # and v column lo_j[t] of Q0; cleared[t, u] marks the Q0 that make it
-    # vanish for that u
-    zero = ~bilinear_table(A1, p).any(axis=2)
-    cleared = zero[:, gl_vector_numbers(n, p, columns=True)[:, lo_j]].transpose(2, 0, 1)
-    row_of = gl_vector_numbers(n, p)[:, lo_i]
+    # vanish for that u.  Only the vectors that occur are evaluated, so
+    # memory follows the flag pairs, not p^(2n)
+    zero = ~(us @ (A1.transpose(2, 0, 1) @ vs.T) % p).any(axis=0)
+    cleared = zero[:, col_of].transpose(2, 0, 1)
     terms = np.arange(len(lo_i))
-    block = max(1, _GL_CHUNK // len(GL))  # P0 per lookup
+    block = max(1, _GL_CHUNK // len(Q0s))  # P0 per lookup
     chunk = max(1, _GL_CHUNK // (len(lo_i) * s2 * corr.shape[1]))  # pairs per elimination
     best = None  # (form, P0, Q0, part) of the smallest form so far
-    for a0 in range(0, len(GL), block):
+    for a0 in range(0, len(P0s), block):
         pa, pq = np.nonzero(cleared[terms, row_of[a0:a0 + block]].all(axis=1))
         for c0 in range(0, len(pa), chunk):
-            P0, Q0 = GL[a0 + pa[c0:c0 + chunk]], GL[pq[c0:c0 + chunk]]
+            P0, Q0 = P0s[a0 + pa[c0:c0 + chunk]], Q0s[pq[c0:c0 + chunk]]
             # K[q, t] = (row lo_i[t] of P0) x (column lo_j[t] of Q0), so the
             # below-diagonal entry t of P0*X*Q0 is K[q, t] @ X, X read as an
             # n*n vector

@@ -686,12 +686,11 @@ def vector_numbers(X: np.ndarray, p: int) -> np.ndarray:
 
 
 @functools.cache
-def gl_vector_numbers(n: int, p: int, columns: bool = False) -> np.ndarray:
-    """vector_numbers of the rows (or columns) of every matrix of
+def gl_vector_numbers(n: int, p: int) -> np.ndarray:
+    """vector_numbers of the rows of every matrix of
     general_linear_group(n, p): an (N, n) array, built once per (n, p)
     and read-only."""
-    GL = general_linear_group(n, p)
-    table = vector_numbers(GL.transpose(0, 2, 1) if columns else GL, p)
+    table = vector_numbers(general_linear_group(n, p), p)
     table.flags.writeable = False
     return table
 
@@ -1049,7 +1048,8 @@ def _quotient_idempotent(act: np.ndarray, rad: np.ndarray, p: int):
     total = p ** mc
     if total > _QUOTIENT_BUDGET:
         raise BudgetExceededError(
-            "endomorphism quotient enumeration budget exceeded",
+            f"endomorphism quotient enumeration budget exceeded: {total} "
+            f"E/J elements (p^mc = {p}^{mc}), at most {_QUOTIENT_BUDGET}",
             required=total, budget=_QUOTIENT_BUDGET,
         )
     # coordinates on [rad; comp] of every product comp[a] @ comp[b] and of

@@ -250,10 +250,10 @@ def test_filtrate_witness_replays(capsys, matrix_file):
 
 
 def test_filtrate_accepts_ut_input_past_the_caps(capsys, matrix_file):
-    # the search caps n <= 3 and p <= 3 do not apply to a UT input
+    # the search budget does not apply to a UT input
     m = matrix_file([["x", "y", "0", "0"], ["0", "x", "z", "0"],
                      ["0", "0", "x", "y"], ["0", "0", "0", "x"]])
-    code, rep = run(capsys, "filtrate", "S:2", m)
+    code, rep = run(capsys, "--budget", "0", "filtrate", "S:2", m)
     assert code == 0
     assert rep["result"]["filtration"]["lengths"] == [3, 6, 9, 12]
     m = matrix_file([["x", "y", "0"], ["0", "x + y", "z"], ["0", "0", "x + 2*z"]])
@@ -262,13 +262,28 @@ def test_filtrate_accepts_ut_input_past_the_caps(capsys, matrix_file):
     assert rep["result"]["filtration"]["lengths"] == [3, 6, 9]
 
 
+def test_filtrate_decides_2x2_over_large_prime(capsys, matrix_file):
+    # 102^2 flag pairs over S:101, within the default budget
+    code, rep = run(capsys, "filtrate", "S:101", matrix_file([["x", "z"], ["y", "x"]]))
+    assert code == 1 and rep["result"]["ut_form"] is None
+
+
 def test_filtrate_refuses_large_prime(capsys, matrix_file):
+    # over S:5 a 2x2 search scans 6^2 flag pairs and finds no UT form; a
+    # budget below that, or a 4x4 input (29016^2 pairs), is refused
     m = matrix_file([["x", "z"], ["y", "x"]])
     code, rep = run(capsys, "filtrate", "S:5", m)
-    assert code == 2
-    assert (rep["result"]["required"], rep["result"]["budget"]) == (5, 3)
+    assert code == 1 and rep["result"]["ut_form"] is None
+    code, rep = run(capsys, "--budget", "35", "filtrate", "S:5", m)
+    assert code == 2 and "flag pairs" in rep["result"]["error"]
+    assert (rep["result"]["required"], rep["result"]["budget"]) == (36, 35)
     assert set(rep["inputs"]) == {"allow_gorenstein", "budget", "command",
                                   "ring", "matrix"}
+    m = matrix_file([["x", "0", "0", "0"], ["y", "x", "0", "0"],
+                     ["0", "0", "x", "0"], ["0", "0", "0", "x"]])
+    code, rep = run(capsys, "filtrate", "S:5", m)
+    assert code == 2
+    assert rep["result"]["required"] == 29016 ** 2
 
 
 def test_classify(capsys):

@@ -3,6 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from trmod import filtration, linalg, modmat
 from trmod.algebra import AlgebraSpec, build_algebra
@@ -18,7 +19,6 @@ from trmod.modmat import (
     PresentationMatrix,
     coker_length,
     correction_space,
-    general_linear_group,
     ring_identity,
     ring_matmul,
 )
@@ -132,74 +132,139 @@ def test_find_ut_form_none_exists_f3(S3):
 
 
 def test_find_ut_form_budget(S2):
+    # a 4x4 search over S:2 scans 315^2 flag pairs: decided within the
+    # default budget, refused one pair below it
     big = PresentationMatrix.zeros(S2, 4, 4)
     ent = big.entries.copy()
     for i in range(4):
         ent[i, i] = S2.from_expr("x").coeffs
     ent[1, 0] = S2.from_expr("y").coeffs
-    with pytest.raises(BudgetExceededError) as err:
-        find_ut_form(PresentationMatrix(S2, ent))
-    assert (err.value.required, err.value.budget) == (4, 3)
+    mat = PresentationMatrix(S2, ent)
+    w, ut = find_ut_form(mat)
+    assert ut.is_upper_triangular and w.verify(mat, ut)
+    with pytest.raises(BudgetExceededError, match="flag pairs") as err:
+        find_ut_form(mat, budget=315 ** 2 - 1)
+    assert (err.value.required, err.value.budget) == (315 ** 2, 315 ** 2 - 1)
 
 
 def test_find_ut_form_budget_reports_the_prime():
-    # a 2x2 input is within the size cap; the prime 5 is what is refused
+    # the flag count [n]_p! grows with p: a 2x2 over S:5 (6^2 pairs) is
+    # decided, a 4x4 over S:3 (2080^2 pairs) is past the default budget
     S5 = build_algebra(AlgebraSpec.canonical_s(5))
-    with pytest.raises(BudgetExceededError, match="p <= 3") as err:
-        find_ut_form(M(S5, [["x", "z"], ["y", "x"]]))
-    assert (err.value.required, err.value.budget) == (5, 3)
+    assert find_ut_form(M(S5, [["x", "z"], ["y", "x"]])) is None
+    with pytest.raises(BudgetExceededError, match="flag pairs") as err:
+        find_ut_form(M(S5, [["x", "z"], ["y", "x"]]), budget=35)
+    assert (err.value.required, err.value.budget) == (36, 35)
+    S3 = build_algebra(AlgebraSpec.canonical_s(3))
+    ent = np.zeros((4, 4, S3.dim), dtype=np.int64)
+    ent[:, :, 1] = np.eye(4, dtype=np.int64)
+    ent[1, 0, 2] = 1
+    with pytest.raises(BudgetExceededError, match="over F_3") as err:
+        find_ut_form(PresentationMatrix(S3, ent))
+    assert (err.value.required, err.value.budget) == (4_326_400, modmat.DEFAULT_BUDGET)
 
 
-def _scan_pairs_reference(mat):
-    """The UT form find_ut_form returns, and its witness, found by the
-    plain double loop over (P0, Q0) in GL_n x GL_n, one pair at a time,
-    compared entry by entry with RingElement.order_key.  The witness is
-    P0*(I + A), (I + B)*Q0 for the best pair, the earliest among equal
-    forms, with A and B read from its solution in the column layout of
-    correction_space."""
+@pytest.mark.parametrize("p", [101, 1009])
+def test_find_ut_form_large_prime_2x2(p):
+    # (p + 1)^2 flag pairs fit the default budget; u*A1*v is evaluated
+    # only for the rows and columns of the flag representatives, not on
+    # all of F_p^2 x F_p^2 (10^12 cells at p = 1009)
+    A = build_algebra(AlgebraSpec.canonical_s(p))
+    n = 2
+    lo_i, lo_j = filtration._below_diagonal(n)
+    P0s, Q0s = filtration.flag_representatives(n, p)
+    us, row_of, vs, col_of = filtration._flag_vectors(n, p)
+    assert (us[row_of] == P0s[:, lo_i]).all()
+    assert (vs[col_of] == Q0s.transpose(0, 2, 1)[:, lo_j]).all()
+    assert len(us) <= p + 1 and len(vs) <= p + 1
+    assert find_ut_form(M(A, [["x", "z"], ["y", "x"]])) is None
+    for rows in ([["x + y", "x"], ["y", "x + 2*y"]], [["x", "x"], ["x", "x + y"]]):
+        mat = M(A, rows)
+        w, ut = find_ut_form(mat)
+        assert ut.is_upper_triangular and w.verify(mat, ut)
+
+
+def test_find_ut_form_3x3_over_s11_is_refused():
+    # [3]_11! = 133 * 12 = 1596 flags, 1596^2 pairs past the default budget
+    S11 = build_algebra(AlgebraSpec.canonical_s(11))
+    mat = M(S11, [["x", "0", "0"], ["y", "x", "0"], ["0", "0", "x"]])
+    with pytest.raises(BudgetExceededError, match="flag pairs") as err:
+        find_ut_form(mat)
+    assert err.value.required == 1596 ** 2
+
+
+def _pair_form(mat, P0, Q0):
+    """(N, part) for one scalar pair (P0, Q0): N = P0*(M + corr @ part)*Q0
+    is upper triangular for the solution `part` linalg.solve gives of the
+    below-diagonal system, or None when P0*A1*Q0 is not upper triangular
+    or the system has no solution."""
     A, p, n = mat.algebra, mat.algebra.p, mat.rows
     e, s2 = A.e, A.s2
     A1, A2 = mat.linear_part(), mat.quadratic_part()
-    corr = correction_space(mat)
-    GL = general_linear_group(n, p)
     below = [(i, j) for i in range(n) for j in range(n) if i > j]
-    best = None
+    N1 = np.einsum("il,lje,jm->ime", P0, A1, Q0) % p
+    if any(N1[i, j].any() for i, j in below):
+        return None
+    corr = correction_space(mat)
+    N2_base = np.einsum("il,ljs,jm->ims", P0, A2, Q0) % p
+    conj = np.einsum("il,ljsg,jm->imsg", P0, corr.reshape(n, n, s2, -1), Q0) % p
+    sysA = np.stack([conj[i, j].reshape(s2, -1) for i, j in below]
+                    ).reshape(-1, corr.shape[1])
+    rhs = np.concatenate([(-N2_base[i, j]) % p for i, j in below])
+    part = linalg.solve(sysA, rhs, p)
+    if part is None:
+        return None
+    delta = (corr @ part % p).reshape(n, n, s2)
+    N2 = (N2_base + np.einsum("il,ljs,jm->ims", P0, delta, Q0)) % p
+    ent = np.zeros((n, n, A.dim), dtype=np.int64)
+    ent[:, :, 1:1 + e] = N1
+    ent[:, :, 1 + e:] = N2
+    N = PresentationMatrix(A, ent)
+    assert N.is_upper_triangular
+    return N, part
+
+
+def _scan_pairs_reference(mat):
+    """(exists, best) from the plain double loop over (P0, Q0) in
+    GL_n x GL_n, one pair at a time.  `exists` says whether any pair
+    solves.  `best` is the UT form find_ut_form returns, and its witness,
+    over the flag pairs of `flag_representatives` alone: the smallest
+    form, compared entry by entry with RingElement.order_key, the
+    earliest pair in P0-then-Q0 order among equal forms.  The witness is
+    P0*(I + A), (I + B)*Q0 for the best pair, with A and B read from its
+    solution in the column layout of correction_space."""
+    A, p, n = mat.algebra, mat.algebra.p, mat.rows
+    e = A.e
+    P0s, Q0s = filtration.flag_representatives(n, p)
+    p_index = {P0.tobytes(): k for k, P0 in enumerate(P0s)}
+    q_index = {Q0.tobytes(): k for k, Q0 in enumerate(Q0s)}
+    exists, best = False, None
+    GL = _gl(n, p)
     for P0 in GL:
-        LA1 = np.einsum("il,lje->ije", P0, A1) % p
         for Q0 in GL:
-            N1 = np.einsum("ile,lj->ije", LA1, Q0) % p
-            if any(N1[i, j].any() for i, j in below):
+            flag_pair = P0.tobytes() in p_index and Q0.tobytes() in q_index
+            if exists and not flag_pair:
                 continue
-            N2_base = np.einsum("il,ljs,jm->ims", P0, A2, Q0) % p
-            conj = np.einsum("il,ljsg,jm->imsg",
-                             P0, corr.reshape(n, n, s2, -1), Q0) % p
-            sysA = np.stack([conj[i, j].reshape(s2, -1) for i, j in below]
-                            ).reshape(-1, corr.shape[1])
-            rhs = np.concatenate([(-N2_base[i, j]) % p for i, j in below])
-            part = linalg.solve(sysA, rhs, p)
-            if part is None:
+            found = _pair_form(mat, P0, Q0)
+            if found is None:
                 continue
-            delta = (corr @ part % p).reshape(n, n, s2)
-            N2 = (N2_base + np.einsum("il,ljs,jm->ims", P0, delta, Q0)) % p
-            ent = np.zeros((n, n, A.dim), dtype=np.int64)
-            ent[:, :, 1:1 + e] = N1
-            ent[:, :, 1 + e:] = N2
-            N = PresentationMatrix(A, ent)
-            if not N.is_upper_triangular:
+            exists = True
+            if not flag_pair:
                 continue
-            key = tuple(N.entry(i, j).order_key()
-                        for i in range(n) for j in range(n))
+            N, part = found
+            key = (tuple(N.entry(i, j).order_key() for i in range(n) for j in range(n)),
+                   p_index[P0.tobytes()], q_index[Q0.tobytes()])
             if best is None or key < best[0]:
                 best = (key, N, P0, Q0, part)
     if best is None:
-        return None
+        return exists, None
     _, N, P0, Q0, part = best
     I = ring_identity(A, n)
     scalar_P0, scalar_Q0, left, right = (np.zeros_like(I) for _ in range(4))
     scalar_P0[:, :, 0], scalar_Q0[:, :, 0] = P0, Q0
     left[:, :, 1:1 + e] = part[:n * n * e].reshape(n, n, e)
     right[:, :, 1:1 + e] = part[n * n * e:].reshape(n, n, e)
-    return (N, ring_matmul(A, scalar_P0, I + left), ring_matmul(A, I + right, scalar_Q0))
+    return exists, (N, ring_matmul(A, scalar_P0, I + left), ring_matmul(A, I + right, scalar_Q0))
 
 
 def _random_minimal(rng, A, n):
@@ -249,17 +314,19 @@ def _without_ut(rng, A, n):
 
 @pytest.mark.parametrize("p, n, draws", [(2, 2, 16), (3, 2, 16), (2, 3, 6)])
 def test_find_ut_form_matches_pairwise_scan(p, n, draws):
-    # byte for byte against the one-pair-at-a-time loop: the UT form and
-    # the lift of the pair that gave it, on seeded minimal inputs with
-    # random degree-2 parts, half of them disguised UT matrices
+    # against the one-pair-at-a-time loop over GL_n x GL_n: a form exists
+    # iff some pair solves, and the UT form and the lift of the pair that
+    # gave it are byte for byte the best over the flag pairs, on seeded
+    # minimal inputs with random degree-2 parts, half of them disguised
+    # UT matrices
     A = build_algebra(AlgebraSpec.canonical_s(p))
     rng = np.random.default_rng(100 * p + n)
     for k in range(draws):
         ent = _disguised_ut(rng, A, n) if k % 2 else _without_ut(rng, A, n)
         mat = PresentationMatrix(A, ent)
-        ref = _scan_pairs_reference(mat)
+        exists, ref = _scan_pairs_reference(mat)
         got = find_ut_form(mat)
-        assert (got is not None) == (ref is not None) == bool(k % 2)
+        assert (got is not None) == exists == (ref is not None) == bool(k % 2)
         if ref is None:
             continue
         (w, ut), (ref_ut, ref_P, ref_Q) = got, ref
@@ -269,13 +336,14 @@ def test_find_ut_form_matches_pairwise_scan(p, n, draws):
 
 
 def test_find_ut_form_returns_ut_input_past_the_caps(S2):
-    # the size caps bound the search; an input that is already UT needs
-    # none and gets the identity witness, at any n and p
+    # the budget bounds the search; an input that is already UT needs
+    # none and gets the identity witness, at any n and p, whatever the
+    # budget
     S5 = build_algebra(AlgebraSpec.canonical_s(5))
     x, y, z = (S2.from_expr(v) for v in "xyz")
     for mat in (M(S2, [["x", "y"], ["0", "x + y"]]), mb_matrix(4, x, x, y, z),
                 M(S5, [["x", "y", "0"], ["0", "x + y", "z"], ["0", "0", "x + 2*z"]])):
-        w, ut = find_ut_form(mat)
+        w, ut = find_ut_form(mat, budget=0)
         assert ut is mat
         identity = ring_identity(mat.algebra, mat.rows)
         assert w.P.tobytes() == w.Q.tobytes() == identity.tobytes()
@@ -358,6 +426,68 @@ def test_find_ut_form_3x3_none_by_orbit_enumeration(S2):
     rows = [["x", "x", "0"], ["y", "0", "z"], ["z", "0", "x"]]
     assert not _linear_ut_orbit(M(S2, rows).linear_part(), 2)
     assert find_ut_form(M(S2, rows)) is None
+
+
+@pytest.mark.parametrize("n, p", [(1, 2), (2, 2), (2, 3), (3, 2), (3, 3)])
+def test_flag_representatives_cover_gl_once(n, p):
+    # checked against GL_n and B enumerated here: the products Q0*b over
+    # the representatives Q0 and b in B are GL_n, each element once, and
+    # so are the products b*P0
+    P0s, Q0s = filtration.flag_representatives(n, p)
+    GL = _gl(n, p)
+    B = GL[~GL[:, np.tril_indices(n, -1)[0], np.tril_indices(n, -1)[1]].any(axis=1)]
+    assert len(P0s) == len(Q0s) == len(GL) // len(B)
+    def numbers(mats):
+        return np.sort(mats.reshape(len(mats), -1) @ p ** np.arange(n * n - 1, -1, -1))
+    gl_numbers = numbers(GL)
+    assert np.array_equal(numbers(np.einsum("aij,bjk->abik", Q0s, B).reshape(-1, n, n) % p),
+                          gl_numbers)
+    assert np.array_equal(numbers(np.einsum("bij,ajk->abik", B, P0s).reshape(-1, n, n) % p),
+                          gl_numbers)
+    assert not (P0s.flags.writeable or Q0s.flags.writeable)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([(2, 2), (3, 2), (2, 3), (3, 3)]), st.integers(0, 2 ** 32 - 1))
+def test_solvability_is_constant_on_flag_cosets(shape, seed):
+    # the one-pair system at (P0, Q0) solves iff it solves at
+    # (b*P0, Q0*b') for b, b' in B, on the winning flag pair of a disguised
+    # UT matrix and on random flag pairs of it
+    p, n = shape
+    A = build_algebra(AlgebraSpec.canonical_s(p))
+    rng = np.random.default_rng(seed)
+    mat = PresentationMatrix(A, _disguised_ut(rng, A, n))
+    w, _ = find_ut_form(mat)
+    P0s, Q0s = filtration.flag_representatives(n, p)
+    pairs = [(w.P[:, :, 0], w.Q[:, :, 0])] + [
+        (P0s[rng.integers(len(P0s))], Q0s[rng.integers(len(Q0s))]) for _ in range(8)]
+    for P0, Q0 in pairs:
+        b, b2 = (np.triu(rng.integers(0, p, (n, n)), 1) + np.diag(rng.integers(1, p, n))
+                 for _ in range(2))
+        solved = _pair_form(mat, P0, Q0) is not None
+        assert solved == (_pair_form(mat, b @ P0 % p, Q0 @ b2 % p) is not None)
+    assert _pair_form(mat, *pairs[0]) is not None
+
+
+def test_find_ut_form_3x3_over_s3_and_4x4_over_s2(S2):
+    # 52^2 and 315^2 flag pairs, within the default budget: U times
+    # scalar P0, Q0 over S:3 (both singular mod 3, so its UT form has a
+    # zero row and column); a disguise of a 3x3 UT matrix over S:3 with
+    # degree-1 and -2 parts in P, Q and U; and a disguised 4x4 over S:2.
+    # Each is decided with a witness that verifies
+    S3 = build_algebra(AlgebraSpec.canonical_s(3))
+    U = M(S3, [["x", "y", "z"], ["0", "x + y", "x*y"], ["0", "0", "x + z"]]).entries
+    P0, Q0 = (np.zeros((3, 3, S3.dim), dtype=np.int64) for _ in range(2))
+    P0[:, :, 0] = [[1, 2, 0], [0, 1, 1], [1, 0, 1]]
+    Q0[:, :, 0] = [[1, 0, 1], [2, 1, 0], [0, 1, 1]]
+    rng = np.random.default_rng(27)
+    mats = [PresentationMatrix(S3, ring_matmul(S3, ring_matmul(S3, P0, U), Q0)),
+            PresentationMatrix(S3, _disguised_ut(rng, S3, 3)),
+            PresentationMatrix(S2, _disguised_ut(rng, S2, 4))]
+    for mat in mats:
+        assert not mat.is_upper_triangular
+        w, ut = find_ut_form(mat)
+        assert ut.is_upper_triangular and w.verify(mat, ut)
 
 
 def test_mb_matrix_pattern(S2):

@@ -1291,7 +1291,7 @@ def test_top_algebra_matches_q_level_quotient():
 
 
 def test_is_indecomposable_budget_stop(S3):
-    with pytest.raises(BudgetExceededError) as exc:
+    with pytest.raises(BudgetExceededError, match=r"E/J elements \(p\^mc = 3\^16\)") as exc:
         is_indecomposable(_diagonal(S3, 4))
     assert exc.value.required == 3 ** 16
 
