@@ -5,7 +5,9 @@ the leading i x i blocks present T_1 c T_2 c ... c T_n with cyclic
 quotients R/(t_ii).  This module extracts that chain, performs the
 inverse step (peeling the last cyclic quotient off via the syzygy), and
 searches for upper triangular forms of arbitrary square matrices, one
-pair of scalar parts per pair of complete flags of F_p^n.
+pair of scalar parts per pair of complete flags of F_p^n.  Only the pairs
+whose conjugated quadratic part is nonzero below the diagonal reach the
+degree-2 correction system.
 """
 
 from __future__ import annotations
@@ -245,10 +247,16 @@ def find_ut_form(M: PresentationMatrix, budget: int = DEFAULT_BUDGET):
 
     The UT-compatible pairs are picked out by one table lookup for a
     block of P0 at a time, in the order P0, then Q0, of
-    `flag_representatives`, and their systems are solved a chunk of
-    pairs at a time by one stacked elimination (`linalg.solve_stack`).
-    A block covers at most _GL_CHUNK pairs and a chunk holds at most
-    _GL_CHUNK coefficients of the stacked systems.  The form is the
+    `flag_representatives`, and taken a chunk of pairs at a time.  The
+    right side of a pair's system is its conjugated quadratic part below
+    the diagonal.  A zero right side has the canonical solution 0, the
+    one `linalg.solve_stack` returns with the free coordinates at 0, so
+    only the pairs with a nonzero right side reach the correction system:
+    `correction_space(M)` is built once per call, when the first of them
+    appears, and their systems are solved by one stacked elimination per
+    chunk.  Linear inputs, and inputs with no UT-compatible pair, never
+    build it.  A block covers at most _GL_CHUNK pairs and a chunk holds
+    at most _GL_CHUNK coefficients of the stacked systems.  The form is the
     smallest, by RingElement.order_key entry by entry row-major, of the
     particular solutions of the solvable flag pairs, one per pair; equal
     candidates are equal byte for byte.  It is not in general the
@@ -282,11 +290,11 @@ def find_ut_form(M: PresentationMatrix, budget: int = DEFAULT_BUDGET):
             f"UT-form search budget exceeded: {pairs} flag pairs of "
             f"{n} x {n} matrices over F_{p}", required=pairs, budget=budget)
     e, s2 = A.e, A.s2
-    corr = correction_space(M)
-    # the quadratic part and the correction generators, one row per entry
-    # (l, j) of an n x n matrix
-    A2_corr = np.concatenate([M.quadratic_part().reshape(n * n, s2),
-                              corr.reshape(n * n, -1)], axis=1)
+    # the coefficients of correction_space(M): r^2*e + c^2*e
+    width = 2 * n * n * e
+    # the quadratic part, one row per entry (l, j) of an n x n matrix
+    A2 = M.quadratic_part().reshape(n * n, s2)
+    corr = None  # built once a pair's quadratic part needs a correction
     # M's non-constant coordinates, one n x n matrix per coordinate
     M_pos = M.entries[..., 1:].transpose(2, 0, 1)
     A1 = M.linear_part()
@@ -301,7 +309,7 @@ def find_ut_form(M: PresentationMatrix, budget: int = DEFAULT_BUDGET):
     cleared = zero[:, col_of].transpose(2, 0, 1)
     terms = np.arange(len(lo_i))
     block = max(1, _GL_CHUNK // len(Q0s))  # P0 per lookup
-    chunk = max(1, _GL_CHUNK // (len(lo_i) * s2 * corr.shape[1]))  # pairs per elimination
+    chunk = max(1, _GL_CHUNK // (len(lo_i) * s2 * width))  # pairs per elimination
     best = None  # (form, P0, Q0, part) of the smallest form so far
     for a0 in range(0, len(P0s), block):
         pa, pq = np.nonzero(cleared[terms, row_of[a0:a0 + block]].all(axis=1))
@@ -312,16 +320,24 @@ def find_ut_form(M: PresentationMatrix, budget: int = DEFAULT_BUDGET):
             # n*n vector
             K = (P0[:, lo_i, :, None] * Q0[:, :, lo_j].transpose(0, 2, 1)[:, :, None]
                  ).reshape(len(P0), len(lo_i), n * n)
-            # below the diagonal: the conjugated quadratic part, and the
-            # conjugated correction generators that must clear it
-            lower = K @ A2_corr
-            ok, part = linalg.solve_stack(lower[..., s2:].reshape(len(P0), -1, corr.shape[1]),
-                                          -lower[..., :s2].reshape(len(P0), -1), p)
+            # the conjugated quadratic part below the diagonal, which the
+            # conjugated correction generators must clear; a pair whose
+            # part is already zero there takes the canonical solution 0
+            rhs = -(K @ A2).reshape(len(P0), -1) % p
+            ok = np.ones(len(P0), dtype=bool)
+            part = np.zeros((len(P0), width), dtype=np.int64)
+            need = rhs.any(axis=1)
+            if need.any():
+                if corr is None:
+                    corr = correction_space(M)
+                lower = K[need] @ corr.reshape(n * n, -1)
+                ok[need], part[need] = linalg.solve_stack(
+                    lower.reshape(len(lower), -1, width), rhs[need], p)
             P0, Q0, part = P0[ok], Q0[ok], part[ok]
             # the form P0*(M + corr @ part)*Q0, one coordinate at a time
-            delta = (part @ corr.T).reshape(len(P0), n, n, s2).transpose(0, 3, 1, 2)
             X = np.repeat(M_pos[None], len(P0), axis=0)
-            X[:, e:] += delta
+            if corr is not None:
+                X[:, e:] += (part @ corr.T).reshape(len(P0), n, n, s2).transpose(0, 3, 1, 2)
             ent = np.zeros((len(P0), n, n, A.dim), dtype=np.int64)
             ent[..., 1:] = (P0[:, None] @ X @ Q0[:, None] % p).transpose(0, 2, 3, 1)
             if best is not None:

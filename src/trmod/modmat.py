@@ -711,7 +711,8 @@ def bilinear_table(A1: np.ndarray, p: int) -> np.ndarray:
     column j of Q0].  Returns a (p^r, p^c, e) array.
     """
     r, c = A1.shape[:2]
-    return np.einsum("ui,ije,vj->uve", _all_vectors(r, p), A1, _all_vectors(c, p)) % p
+    U, V = _all_vectors(r, p), _all_vectors(c, p)
+    return (U @ (A1.transpose(2, 0, 1) @ V.T)).transpose(1, 2, 0) % p
 
 
 def correction_space(M: PresentationMatrix) -> np.ndarray:
@@ -769,6 +770,11 @@ def is_equivalent(
     skipped P0 are exactly those whose solve would fail, so the witness,
     the order in which candidates are tried and the budget count are
     those of the full scan.
+
+    Only the pairs whose quadratic parts differ, P0^-1*B2*Q0^-1 != A2,
+    reach the correction system: `correction_space(M1)` is built when
+    the first of them appears, and a pair with equal quadratic parts
+    takes the canonical solution 0 without a solve (`_try_quadratic`).
     """
     if M1.algebra is not M2.algebra and M1.algebra.spec != M2.algebra.spec:
         raise ValidationError("matrices over different algebras")
@@ -790,7 +796,8 @@ def is_equivalent(
     B1 = M2.linear_part()
     A2 = M1.quadratic_part().reshape(-1)
     B2 = M2.quadratic_part()
-    corr = None  # built once a pair of scalar parts reaches it
+    # built once a pair of scalar parts needs a correction
+    corr = functools.cache(lambda: correction_space(M1))
     GLr = general_linear_group(r, p)
     # match[u, v, i, j]: u*A1*v equals B1[i, j]
     match = (bilinear_table(A1, p)[:, :, None, None, :] == B1).all(axis=4)
@@ -823,8 +830,6 @@ def is_equivalent(
             Q0 = (part + null @ np.array(combo, dtype=np.int64).reshape(-1, c)) % p
             if not linalg.det_nonzero(Q0, p):
                 continue
-            if corr is None:
-                corr = correction_space(M1)
             witness = _try_quadratic(M1, M2, P0, Q0, corr, A2, B2)
             if witness is not None:
                 return witness
@@ -833,15 +838,21 @@ def is_equivalent(
 
 def _try_quadratic(M1, M2, P0, Q0, corr, A2_flat, B2):
     """Given matching linear parts, solve the quadratic membership and
-    construct an exact witness."""
-    p = M1.algebra.p
+    construct an exact witness.  `corr` returns `correction_space(M1)`;
+    it is called only when the quadratic parts differ, since a zero
+    right side has the canonical solution 0."""
+    alg = M1.algebra
+    p = alg.p
     P0inv = linalg.inv(P0, p)
     Q0inv = linalg.inv(Q0, p)
     target = np.einsum("il,ljs,jm->ims", P0inv, B2, Q0inv) % p
     rhs = (target.reshape(-1) - A2_flat) % p
-    coeffs = linalg.solve(corr, rhs, p)
-    if coeffs is None:
-        return None
+    if not rhs.any():
+        coeffs = np.zeros((M1.rows ** 2 + M1.cols ** 2) * alg.e, dtype=np.int64)
+    else:
+        coeffs = linalg.solve(corr(), rhs, p)
+        if coeffs is None:
+            return None
     return _lift_witness(M1, M2, P0, Q0, coeffs)
 
 

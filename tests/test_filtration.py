@@ -267,9 +267,11 @@ def _scan_pairs_reference(mat):
     return exists, (N, ring_matmul(A, scalar_P0, I + left), ring_matmul(A, I + right, scalar_Q0))
 
 
-def _random_minimal(rng, A, n):
+def _random_minimal(rng, A, n, linear=False):
     ent = rng.integers(0, A.p, (n, n, A.dim))
     ent[:, :, 0] = 0
+    if linear:
+        ent[:, :, 1 + A.e:] = 0
     return ent
 
 
@@ -290,24 +292,27 @@ def _linear_ut_orbit(L, p):
     return not orbit[:, :, lo_i, lo_j].reshape(len(G) ** 2, -1).any(axis=1).all()
 
 
-def _disguised_ut(rng, A, n):
+def _disguised_ut(rng, A, n, linear=False):
     """P * U * Q for a random UT U with nonzero linear diagonal and random
-    invertible ring matrices P, Q with random degree-1 and -2 parts."""
-    U = np.triu(_random_minimal(rng, A, n).transpose(2, 0, 1)).transpose(1, 2, 0)
+    invertible ring matrices P, Q with random degree-1 and -2 parts; with
+    `linear`, U is linear and P, Q are scalar."""
+    U = np.triu(_random_minimal(rng, A, n, linear).transpose(2, 0, 1)).transpose(1, 2, 0)
     for i in range(n):
         while not U[i, i, 1:1 + A.e].any():
             U[i, i, 1:1 + A.e] = rng.integers(0, A.p, A.e)
     GL = _gl(n, A.p)
     P, Q = (_random_minimal(rng, A, n) for _ in range(2))
+    if linear:
+        P[:, :, 1:] = Q[:, :, 1:] = 0
     P[:, :, 0] = GL[rng.integers(len(GL))]
     Q[:, :, 0] = GL[rng.integers(len(GL))]
     return ring_matmul(A, ring_matmul(A, P, U), Q)
 
 
-def _without_ut(rng, A, n):
+def _without_ut(rng, A, n, linear=False):
     """A random minimal matrix with no UT form, by the orbit check."""
     while True:
-        ent = _random_minimal(rng, A, n)
+        ent = _random_minimal(rng, A, n, linear)
         if not _linear_ut_orbit(ent[:, :, 1:1 + A.e], A.p):
             return ent
 
@@ -318,12 +323,16 @@ def test_find_ut_form_matches_pairwise_scan(p, n, draws):
     # iff some pair solves, and the UT form and the lift of the pair that
     # gave it are byte for byte the best over the flag pairs, on seeded
     # minimal inputs with random degree-2 parts, half of them disguised
-    # UT matrices
+    # UT matrices, then linear inputs, whose systems all have right side 0
+    # and reach no correction system in find_ut_form; the reference still
+    # solves each pair's system over the correction space
     A = build_algebra(AlgebraSpec.canonical_s(p))
     rng = np.random.default_rng(100 * p + n)
-    for k in range(draws):
-        ent = _disguised_ut(rng, A, n) if k % 2 else _without_ut(rng, A, n)
+    for k in range(draws + draws // 2):
+        linear = k >= draws
+        ent = (_disguised_ut if k % 2 else _without_ut)(rng, A, n, linear)
         mat = PresentationMatrix(A, ent)
+        assert linear == (not mat.quadratic_part().any())
         exists, ref = _scan_pairs_reference(mat)
         got = find_ut_form(mat)
         assert (got is not None) == exists == (ref is not None) == bool(k % 2)
@@ -372,6 +381,38 @@ def test_find_ut_form_scan_makes_no_solve_call(S2, S3, monkeypatch):
     assert find_ut_form(M(S3, [["x", "z"], ["y", "x"]])) is None
     assert events == []
     assert not hasattr(filtration, "is_equivalent")
+
+
+def test_find_ut_form_builds_correction_space_only_when_needed(S2, S3, monkeypatch):
+    # the correction system is built once per call, and only when some
+    # UT-compatible pair has a nonzero quadratic part below the diagonal
+    calls = []
+    build = filtration.correction_space
+    def spy(mat):
+        calls.append(mat)
+        return build(mat)
+    monkeypatch.setattr(filtration, "correction_space", spy)
+    for A in (S2, S3):
+        rng = np.random.default_rng(500 + A.p)
+        for n in (2, 3) if A.p == 2 else (2,):
+            # linear inputs: every right side is 0
+            w, ut = find_ut_form(PresentationMatrix(A, _disguised_ut(rng, A, n, True)))
+            assert not (w.P[:, :, 1:].any() or w.Q[:, :, 1:].any())
+            assert find_ut_form(PresentationMatrix(A, _without_ut(rng, A, n, True))) is None
+        # no UT-compatible pair, whatever the degree-2 parts
+        for _ in range(4):
+            ent = M(A, [["x", "z"], ["y", "x"]]).entries.copy()
+            ent[:, :, 1 + A.e:] = rng.integers(0, A.p, (2, 2, A.s2))
+            assert find_ut_form(PresentationMatrix(A, ent)) is None
+    assert calls == []
+    # a scalar disguise of [[x, y], [x*y, x]]: the pair that undoes it
+    # needs the correction A = y*E_10 (up to sign) to clear x*y
+    P0, Q0 = np.array([[1, 1], [0, 1]]), np.array([[0, 1], [1, 2]])
+    mat = PresentationMatrix(S3, np.einsum("il,ljd,jm->imd", P0,
+                                           M(S3, [["x", "y"], ["x*y", "x"]]).entries, Q0))
+    w, ut = find_ut_form(mat)
+    assert w.verify(mat, ut) and ut.is_upper_triangular
+    assert calls == [mat]
 
 
 @pytest.mark.parametrize("p, n, draws", [(2, 2, 12), (2, 3, 3), (3, 2, 12)])

@@ -760,7 +760,7 @@ def _scan_is_equivalent(M1, M2, budget=modmat.DEFAULT_BUDGET):
                     q = (q + cf * null[:, t]) % p
             Q0 = q.reshape(c, c)
             if linalg.det_nonzero(Q0, p):
-                w = modmat._try_quadratic(M1, M2, P0, Q0, corr, A2, B2)
+                w = modmat._try_quadratic(M1, M2, P0, Q0, lambda: corr, A2, B2)
                 if w is not None:
                     return w
     return None
@@ -850,6 +850,20 @@ def test_is_equivalent_tries_scalar_parts_in_kronecker_order(p, seed, monkeypatc
         assert got == tried
         assert len(got) > len({P0 for P0, _ in got})  # several Q0 for one P0
         tried.clear()
+
+
+@pytest.mark.parametrize("r, c, p", [(1, 1, 2), (1, 3, 3), (2, 2, 3), (3, 2, 2),
+                                     (2, 3, 5), (3, 3, 3), (2, 2, 7)])
+def test_bilinear_table_matches_einsum(r, c, p):
+    # the matrix-product contraction gives the three-operand einsum's array
+    rng = np.random.default_rng(10 * r + c + 100 * p)
+    for e in (1, 3):
+        A1 = rng.integers(0, p, size=(r, c, e))
+        U, V = modmat._all_vectors(r, p), modmat._all_vectors(c, p)
+        ref = np.einsum("ui,ije,vj->uve", U, A1, V) % p
+        got = modmat.bilinear_table(A1, p)
+        assert got.shape == (p ** r, p ** c, e)
+        assert np.array_equal(got, ref)
 
 
 def test_is_equivalent_skips_unsolvable_linear_parts(S2, monkeypatch):
@@ -995,17 +1009,33 @@ def test_nonsingular_matches_determinant(n, p):
 
 def test_is_equivalent_builds_correction_space_only_when_needed(S2, monkeypatch):
     calls = []
-    build = modmat.correction_space
-    def spy(mat):
-        calls.append(mat)
-        return build(mat)
-    monkeypatch.setattr(modmat, "correction_space", spy)
+    def spy(module, name):
+        original = getattr(module, name)
+        def wrapped(*args):
+            calls.append(name)
+            return original(*args)
+        monkeypatch.setattr(module, name, wrapped)
+    spy(modmat, "correction_space")
+    spy(linalg, "solve")
     # the table rejects every P0: no correction space
     assert is_equivalent(M(S2, [["x"]]), M(S2, [["x + y"]])) is None
     assert calls == []
+    # a linear matrix against itself and against a scalar disguise of it:
+    # every quadratic right side is 0, so no solve and no correction
+    # space, and the witness is scalar
     mat = M(S2, [["x", "z"], ["y", "x"]])
-    assert is_equivalent(mat, mat) is not None
-    assert calls == [mat]
+    P0, Q0 = np.array([[1, 1], [0, 1]]), np.array([[0, 1], [1, 1]])
+    disguised = PresentationMatrix(S2, np.einsum("il,ljd,jm->imd", P0, mat.entries, Q0))
+    for M2 in (mat, disguised):
+        w = is_equivalent(mat, M2)
+        assert w is not None and w.verify(mat, M2)
+        assert not (w.P[:, :, 1:].any() or w.Q[:, :, 1:].any())
+    assert calls == []
+    # (I + A)*mat with A = y*E_01 differs in degree 2: built once
+    moved = M(S2, [["x", "z + x*y"], ["y", "x"]])
+    w = is_equivalent(mat, moved)
+    assert w is not None and w.verify(mat, moved)
+    assert calls[0] == "correction_space" and calls.count("correction_space") == 1
 
 
 # -- graded rank and kernel of lin M -------------------------------------------
