@@ -290,7 +290,8 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--json", action="store_true", help="emit a JSON report")
     ap.add_argument("--allow-gorenstein", action="store_true")
     ap.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
-                    help="search budget of equiv, classify and filtrate")
+                    help="search budget: Hom-kernel elements (equiv), pairwise "
+                    "comparisons (classify) or flag pairs (filtrate)")
     sub = ap.add_subparsers(dest="command", required=True)
 
     ring = sub.add_parser("ring", help="ring-level reports")

@@ -31,10 +31,7 @@ from .algebra import (
 from .errors import BudgetExceededError, ValidationError
 from .modmat import (
     DEFAULT_BUDGET,
-    _GL_CHUNK,
-    _all_vectors,
     _below_diagonal,
-    _gl_order,
     _lift_witness,
     EquivalenceWitness,
     PresentationMatrix,
@@ -176,6 +173,24 @@ def _isolate_partner(T: PresentationMatrix, s: RingElement):
 
 # -- upper triangular form search ---------------------------------------------
 
+# flag pairs looked up, or stacked-system coefficients eliminated, at once
+_GL_CHUNK = 1 << 16
+
+
+def _gl_order(n: int, p: int) -> int:
+    order = 1
+    for i in range(n):
+        order *= p**n - p**i
+    return order
+
+
+@functools.cache
+def _all_vectors(n: int, p: int) -> np.ndarray:
+    """F_p^n as a read-only (p^n, n) array, vector number k at row k."""
+    table = np.arange(p ** n)[:, None] // p ** np.arange(n - 1, -1, -1) % p
+    table.flags.writeable = False
+    return table
+
 
 @functools.cache
 def flag_representatives(n: int, p: int) -> tuple[np.ndarray, np.ndarray]:
@@ -252,7 +267,7 @@ def find_ut_form(M: PresentationMatrix, budget: int = DEFAULT_BUDGET):
     the diagonal.  A zero right side has the canonical solution 0, the
     one `linalg.solve_stack` returns with the free coordinates at 0, so
     only the pairs with a nonzero right side reach the correction system:
-    `correction_space(M)` is built once per call, when the first of them
+    `correction_space(M, M)` is built once per call, when the first of them
     appears, and their systems are solved by one stacked elimination per
     chunk.  Linear inputs, and inputs with no UT-compatible pair, never
     build it.  A block covers at most _GL_CHUNK pairs and a chunk holds
@@ -267,7 +282,7 @@ def find_ut_form(M: PresentationMatrix, budget: int = DEFAULT_BUDGET):
     `part`, (A, B) = `_build_correction_matrices(M, part)` has degree-1
     entries, and since m^3 = 0, (I + A)*M*(I + B) = M + A*A1 + A1*B for
     A1 the linear part of M, whose degree-2 parts are exactly
-    `correction_space(M) @ part`.  So P = P0*(I + A) and Q = (I + B)*Q0
+    `correction_space(M, M) @ part`.  So P = P0*(I + A) and Q = (I + B)*Q0
     carry M to P0*(M + corr @ part)*Q0, the form; EquivalenceWitness.verify
     checks them.  Among pairs giving equal forms the earliest in the scan
     order wins: the best so far is placed first in each stable sort, so
@@ -290,7 +305,7 @@ def find_ut_form(M: PresentationMatrix, budget: int = DEFAULT_BUDGET):
             f"UT-form search budget exceeded: {pairs} flag pairs of "
             f"{n} x {n} matrices over F_{p}", required=pairs, budget=budget)
     e, s2 = A.e, A.s2
-    # the coefficients of correction_space(M): r^2*e + c^2*e
+    # the coefficients of correction_space(M, M): r^2*e + c^2*e
     width = 2 * n * n * e
     # the quadratic part, one row per entry (l, j) of an n x n matrix
     A2 = M.quadratic_part().reshape(n * n, s2)
@@ -329,7 +344,7 @@ def find_ut_form(M: PresentationMatrix, budget: int = DEFAULT_BUDGET):
             need = rhs.any(axis=1)
             if need.any():
                 if corr is None:
-                    corr = correction_space(M)
+                    corr = correction_space(M, M)
                 lower = K[need] @ corr.reshape(n * n, -1)
                 ok[need], part[need] = linalg.solve_stack(
                     lower.reshape(len(lower), -1, width), rhs[need], p)

@@ -7,7 +7,7 @@ overflow.  The matrices it meets are small and mostly zero, so each
 pivot step updates the other rows only at the pivot row's nonzero
 columns, all at or right of the pivot; the zeros it skips would add
 nothing, so the result is that of the dense update.  A stack of many
-small systems (`rank_stack`, `solve_stack`) is eliminated at once
+small systems (`solve_stack`) is eliminated at once
 instead, one numpy step per pivot for the whole stack.
 
 All subspaces are represented by their reduced row-echelon form (RREF),
@@ -108,15 +108,18 @@ def nullspace(A, p: int) -> np.ndarray:
     The basis is the canonical one read off the RREF (one vector per
     free column, unit coordinate at the free column).
     """
-    A = _as_matrix(A)
+    A = _as_matrix(A) % p
     n = A.shape[1]
-    R, pivots = rref(A, p)
+    rows = A.tolist()
+    pivots = _rref_rows(rows, n, p)
     piv_set = set(pivots)
     free = [c for c in range(n) if c not in piv_set]
     N = np.zeros((n, len(free)), dtype=np.int64)
     if free:
         N[free, range(len(free))] = 1
-        N[pivots] = (-R[: len(pivots)][:, free]) % p
+        if pivots:
+            # RREF row t, read at the free columns, is -N[pivots[t]]
+            N[pivots] = [[-row[f] % p for f in free] for row in rows[:len(pivots)]]
     return N
 
 
@@ -177,14 +180,6 @@ def _eliminate_stack(T: np.ndarray, p: int, ncols: int):
         pivots[r, has] = c[has]
         rank[has] = r + 1
     return rank, pivots
-
-
-def rank_stack(S, p: int) -> np.ndarray:
-    """Rank mod p of each matrix of a (B, m, n) stack, by forward
-    elimination only."""
-    S = np.asarray(S, dtype=np.int64) % p
-    T = np.ascontiguousarray(S.transpose(1, 2, 0), dtype=_stack_dtype(p))
-    return _eliminate_stack(T, p, S.shape[2])[0]
 
 
 def solve_stack(A, b, p: int):

@@ -3,10 +3,11 @@
 A module is given as the cokernel of a rectangular matrix of ring
 elements; everything here reduces to exact linear algebra over F_p via
 the linearized map (each ring entry becomes a dim x dim multiplication
-block).  Matrix equivalence uses the graded normal form: for minimal
-matrices M = M1 + M2 (degree-1 and degree-2 parts), ring equivalence is
-a GL_r(k) x GL_c(k) orbit problem on (M1, M2 mod {A*M1 + M1*B}) because
-m^3 = 0 kills every higher interaction term.
+block).  Matrix equivalence is linear algebra too: for minimal matrices,
+m^3 = 0 makes the scalar parts of the morphisms coker M1 -> coker M2
+the kernel of one linear system (`_top_hom`), and the cokernels are
+isomorphic iff some kernel vector has both scalar parts invertible
+(`is_equivalent`).
 
 The same grading shapes lin M itself.  For minimal M, in degree order
 lin M = [[0, 0, 0], [L1, 0, 0], [Q, Lam, 0]]: L1 is the (r*e) x c
@@ -41,12 +42,13 @@ equal entries, starts with empty records.
 Endomorphisms of coker M are pairs (phi0, phi1) with phi0*M = M*phi1,
 and the grading splits this system too: the degree-0 parts (P0, Q0)
 of a solution are exactly those with P0*M1 = M1*Q0 and P0*M2 - M2*Q0
-in the span of `correction_space(M)`.  So the top algebra {P0}, which
-decides `is_indecomposable`, comes from r*r + c*c unknowns
-(`_top_algebra`).  The full system and the q x q operators it induces
-on the cokernel are built by `endomorphism_space`, and by
-`is_indecomposable` only for a module it finds decomposable, and then
-only for the kernel columns its idempotent is made of.
+in the span of `correction_space(M, M)`.  So the top algebra {P0},
+which decides `is_indecomposable`, comes from r*r + c*c unknowns
+(`_top_algebra`, from the Hom system of M with itself).  The full
+system and the q x q operators it induces on the cokernel are built by
+`endomorphism_space`, and by `is_indecomposable` only for a module it
+finds decomposable, and then only for the kernel columns its
+idempotent is made of.
 """
 
 from __future__ import annotations
@@ -646,100 +648,32 @@ class EquivalenceWitness:
         )
 
 
-_GL_CACHE: dict[tuple[int, int], np.ndarray] = {}
-# candidate matrices eliminated, or table cells looked up, at once
-_GL_CHUNK = 1 << 16
+def correction_space(M1: PresentationMatrix, M2: PresentationMatrix) -> np.ndarray:
+    """Span of {A*L1 + L2*B} with A, B degree-1 scalar-shape matrices, for
+    L1 and L2 the linear parts of M1 (r1 x c) and M2 (r x c2).
 
-
-def _nonsingular(S: np.ndarray, p: int) -> np.ndarray:
-    """Mask of the invertible matrices in a stack S of n x n matrices mod p."""
-    return linalg.rank_stack(S, p) == S.shape[-1]
-
-
-def general_linear_group(n: int, p: int) -> np.ndarray:
-    """All invertible n x n matrices over F_p, as an (N, n, n) array, in
-    the order of itertools.product(range(p), repeat=n*n) over the entries
-    read row by row: the base-p digits of 0, 1, ..., p^(n*n) - 1, tested
-    _GL_CHUNK at a time and written into an array of the group's order."""
-    key = (n, p)
-    if key not in _GL_CACHE:
-        total = p ** (n * n)
-        place = p ** np.arange(n * n - 1, -1, -1)
-        GL = np.empty((_gl_order(n, p), n, n), dtype=np.int64)
-        filled = 0
-        for start in range(0, total, _GL_CHUNK):
-            numbers = np.arange(start, min(start + _GL_CHUNK, total))
-            S = (numbers[:, None] // place % p).reshape(len(numbers), n, n)
-            S = S[_nonsingular(S, p)]
-            GL[filled:filled + len(S)] = S
-            filled += len(S)
-        if filled != len(GL):
-            raise AssertionError(f"found {filled} invertible matrices, expected {len(GL)}")
-        _GL_CACHE[key] = GL
-    return _GL_CACHE[key]
-
-
-def vector_numbers(X: np.ndarray, p: int) -> np.ndarray:
-    """Number of each vector along the last axis of X: its base-p digits,
-    first entry most significant, as in itertools.product(range(p), ...)."""
-    return X @ (p ** np.arange(X.shape[-1] - 1, -1, -1))
-
-
-@functools.cache
-def gl_vector_numbers(n: int, p: int) -> np.ndarray:
-    """vector_numbers of the rows of every matrix of
-    general_linear_group(n, p): an (N, n) array, built once per (n, p)
-    and read-only."""
-    table = vector_numbers(general_linear_group(n, p), p)
-    table.flags.writeable = False
-    return table
-
-
-@functools.cache
-def _all_vectors(n: int, p: int) -> np.ndarray:
-    """F_p^n as a read-only (p^n, n) array, vector number k at row k."""
-    table = np.arange(p ** n)[:, None] // p ** np.arange(n - 1, -1, -1) % p
-    table.flags.writeable = False
-    return table
-
-
-def bilinear_table(A1: np.ndarray, p: int) -> np.ndarray:
-    """W[u, v] = u*A1*v for every u in F_p^r and v in F_p^c.
-
-    A1 is an (r, c, e) linear part; u and v are numbered as in
-    `vector_numbers`.  Entry (i, j) of P0*A1*Q0 is W[row i of P0,
-    column j of Q0].  Returns a (p^r, p^c, e) array.
-    """
-    r, c = A1.shape[:2]
-    U, V = _all_vectors(r, p), _all_vectors(c, p)
-    return (U @ (A1.transpose(2, 0, 1) @ V.T)).transpose(1, 2, 0) % p
-
-
-def correction_space(M: PresentationMatrix) -> np.ndarray:
-    """Span of {A*M1 + M1*B} with A, B degree-1 scalar-shape matrices.
-
-    Returns an (r*c*s2, r*r*e + c*c*e) matrix whose columns are the
+    Returns an (r*c*s2, r*r1*e + c2*c*e) matrix whose columns are the
     degree-2 coefficient vectors of the generators: first A = E_il * x_m
-    acting on the left, in (i, l, m) order, then B = E_lj * x_m acting
-    on the right, in (l, j, m) order.
+    acting on L1 from the left, in (i, l, m) order, then B = E_lj * x_m
+    acting on L2 from the right, in (l, j, m) order.
     """
-    A = M.algebra
-    r, c = M.rows, M.cols
+    A = M1.algebra
+    r, c = M2.rows, M1.cols
     e, s2 = A.e, A.s2
-    M1 = M.linear_part()  # (r, c, e)
+    L1, L2 = M1.linear_part(), M2.linear_part()
     # products x_m * x_f of degree-1 basis elements, in m^2 coordinates
     deg1_prod = A.mult_table[1:1 + e, 1:1 + e, 1 + e:]
-    # (A*M1)[a, j] = x_m * M1[l, j] when a = i, and
-    # (M1*B)[i, b] = M1[i, l] * x_m when b = j
-    left = np.einsum("ai,ljf,mfs->ajsilm", np.eye(r, dtype=np.int64), M1, deg1_prod)
-    right = np.einsum("bj,ilf,mfs->ibsljm", np.eye(c, dtype=np.int64), M1, deg1_prod)
-    return np.concatenate([left.reshape(r * c * s2, r * r * e),
-                           right.reshape(r * c * s2, c * c * e)], axis=1) % A.p
+    # (A*L1)[a, j] = x_m * L1[l, j] when a = i, and
+    # (L2*B)[i, b] = L2[i, l] * x_m when b = j
+    left = np.einsum("ai,ljf,mfs->ajsilm", np.eye(r, dtype=np.int64), L1, deg1_prod)
+    right = np.einsum("bj,ilf,mfs->ibsljm", np.eye(c, dtype=np.int64), L2, deg1_prod)
+    return np.concatenate([left.reshape(r * c * s2, r * M1.rows * e),
+                           right.reshape(r * c * s2, M2.cols * c * e)], axis=1) % A.p
 
 
 def _build_correction_matrices(M: PresentationMatrix, coeffs):
     """Rebuild degree-1 ring matrices (A, B) from correction coefficients,
-    read in the column layout of `correction_space`."""
+    read in the column layout of `correction_space(M, M)`."""
     alg = M.algebra
     r, c, e = M.rows, M.cols, alg.e
     coeffs = np.asarray(coeffs) % alg.p
@@ -750,31 +684,82 @@ def _build_correction_matrices(M: PresentationMatrix, coeffs):
     return Amat, Bmat
 
 
+@functools.cache
+def _commutator_pattern(r1: int, c: int, t: int, r: int, c2: int) -> np.ndarray:
+    """`_commutator_system`'s matrix for X (r1, c, t) and Z (r, c2, t) as a
+    read-only array of indices into [0, X.ravel(), -Z.ravel()]: the
+    system is the same pattern of X's and Z's entries at every call of
+    one shape, so it is built once per shape and gathered."""
+    nx = r1 * c * t
+    X = np.arange(1, nx + 1).reshape(r1, c, t)
+    Z = np.arange(nx + 1, nx + r * c2 * t + 1).reshape(r, c2, t)
+    # left[i, j, f, a, l] = [i = a] * X[l, j, f]
+    left = np.einsum("ia,ljf->ijfal", np.eye(r, dtype=np.int64), X)
+    # right[i, j, f, l, b] = Z[i, l, f] * [j = b], negated by the gather
+    right = np.einsum("ilf,jb->ijflb", Z, np.eye(c, dtype=np.int64))
+    out = np.concatenate([left.reshape(r * c * t, r * r1),
+                          right.reshape(r * c * t, c2 * c)], axis=1)
+    out.flags.writeable = False
+    return out
+
+
+def _commutator_system(X: np.ndarray, Z: np.ndarray) -> np.ndarray:
+    """The linear map (P0, Y0) -> P0*X - Z*Y0 for scalar P0 (r x r1) and
+    Y0 (c2 x c), an (r1, c, t) coefficient array X and an (r, c2, t) one
+    Z: an (r*c*t) x (r*r1 + c2*c) matrix, rows in (i, j, coordinate)
+    order, unknowns P0 then Y0, each read row by row."""
+    flat = np.concatenate([[0], X.ravel(), -Z.ravel()])
+    return flat[_commutator_pattern(*X.shape, *Z.shape[:2])]
+
+
+def _top_hom(M1: PresentationMatrix, M2: PresentationMatrix):
+    """(K, corr): K the canonical kernel basis of the degree-0 Hom system
+    of minimal M1 (r1 x c1) and M2 (r2 x c2), as columns (P0, Y0) read
+    row by row, P0 r2 x r1 and Y0 c2 x c1; corr the `correction_space(M1,
+    M2)` the system was built with, or None when it needed none.
+
+    A morphism coker M1 -> coker M2 lifts to ring matrices (phi0, phi1)
+    with phi0*M1 = M2*phi1.  Split phi0 = P0 + P1 + P2, phi1 = Y0 + Y1 +
+    Y2, M1 = A1 + A2 and M2 = B1 + B2 by degree.  Since m^3 = 0 the
+    equation reads P0*A1 = B1*Y0 in degree 1 and P0*A2 - B2*Y0 =
+    B1*Y1 - P1*A1 in degree 2, and nothing in higher degrees; P2 and Y2
+    are free.  As P1 and Y1 range over all degree-1
+    matrices the right side of degree 2 fills the span of
+    `correction_space(M1, M2)`.  So (P0, Y0) are the scalar parts of such
+    a pair iff P0*A1 = B1*Y0 and W*(P0*A2 - B2*Y0) = 0, for W the left
+    kernel of that span: r2*c1*e equations (and W's rows when a quadratic
+    part is nonzero) on r2*r1 + c2*c1 unknowns.
+    """
+    A = M1.algebra
+    p, e = A.p, A.e
+    X, Z = M1.entries[:, :, 1:], M2.entries[:, :, 1:]
+    sys = _commutator_system(X[:, :, :e], Z[:, :, :e])
+    corr = None
+    if X[:, :, e:].any() or Z[:, :, e:].any():
+        corr = correction_space(M1, M2)
+        W = linalg.nullspace(corr.T, p).T
+        sys = np.concatenate([sys, W @ _commutator_system(X[:, :, e:], Z[:, :, e:])])
+    return linalg.nullspace(sys % p, p), corr
+
+
 def is_equivalent(
     M1: PresentationMatrix, M2: PresentationMatrix, budget: int = DEFAULT_BUDGET
 ):
     """Decide P*M1*Q = M2 for invertible ring matrices; witness or None.
 
-    Exhaustive over scalar parts P0 in GL_r; for each P0 the scalar part
-    Q0 is confined to an affine solution space of P0*A1*Q0 = B1, and the
-    quadratic parts are compared modulo the correction space — complete
-    by the graded normal form.  Raises BudgetExceededError rather than
-    guessing when the scalar search is too large.
-
-    Most P0 admit no Q0 at all.  Entry (i, j) of P0*A1*Q0 is u_i*A1*v
-    for u_i row i of P0 and v column j of Q0, so P0*A1*Q0 = B1 has a
-    solution (singular or not) iff every column j has some v with
-    u_i*A1*v = B1[i, j] for all i.  One table of u*A1*v over all u, v
-    (`bilinear_table`) answers that for a block of P0 at a time with one
-    lookup, and only the P0 that pass reach the linear solve.  The
-    skipped P0 are exactly those whose solve would fail, so the witness,
-    the order in which candidates are tried and the budget count are
-    those of the full scan.
-
-    Only the pairs whose quadratic parts differ, P0^-1*B2*Q0^-1 != A2,
-    reach the correction system: `correction_space(M1)` is built when
-    the first of them appears, and a pair with equal quadratic parts
-    takes the canonical solution 0 without a solve (`_try_quadratic`).
+    coker M1 and coker M2 are isomorphic iff some kernel vector (P0, Y0)
+    of `_top_hom(M1, M2)` has both parts invertible.  Such a vector
+    extends to (phi0, phi1) = (P0 + P1, Y0 + Y1) with phi0*M1 = M2*phi1,
+    (P1, Y1) solving the degree-2 equation over `correction_space(M1,
+    M2)` (see `_top_hom`); both are invertible, so P = phi0 and Q =
+    phi1^-1 carry M1 to M2.  Conversely a witness (P, Q) gives the
+    kernel vector (P[:, :, 0], (Q^-1)[:, :, 0]).  The search runs over
+    the projective points of the kernel, since scalar multiples are
+    invertible together: the vectors whose first nonzero coordinate is 1,
+    in the order of itertools.product.  The first hit is lifted
+    (`_lift_hom`) and verified; a hit that fails to lift is an internal
+    error.  Raises BudgetExceededError before the sweep when the kernel
+    has more than `budget` elements.
     """
     if M1.algebra is not M2.algebra and M1.algebra.spec != M2.algebra.spec:
         raise ValidationError("matrices over different algebras")
@@ -787,78 +772,53 @@ def is_equivalent(
     if r == 0 or c == 0:
         return EquivalenceWitness(alg, ring_identity(alg, r), ring_identity(alg, c))
     p = alg.p
-    gl_r_size = _gl_order(r, p)
-    if gl_r_size > budget:
+    K, corr = _top_hom(M1, M2)
+    k = K.shape[1]
+    if p ** k > budget:
         raise BudgetExceededError(
-            "equivalence search budget exceeded", required=gl_r_size, budget=budget
-        )
-    A1 = M1.linear_part()
-    B1 = M2.linear_part()
-    A2 = M1.quadratic_part().reshape(-1)
-    B2 = M2.quadratic_part()
-    # built once a pair of scalar parts needs a correction
-    corr = functools.cache(lambda: correction_space(M1))
-    GLr = general_linear_group(r, p)
-    # match[u, v, i, j]: u*A1*v equals B1[i, j]
-    match = (bilinear_table(A1, p)[:, :, None, None, :] == B1).all(axis=4)
-    row_of = gl_vector_numbers(r, p)
-    rows = np.arange(r)
-    block = max(1, _GL_CHUNK // match[0, :, 0].size // r)  # r * p^c * c cells per P0
-    passing = (P0 for a in range(0, len(GLr), block) for P0 in GLr[a:a + block][
-        match[row_of[a:a + block], :, rows, :].all(1).any(1).all(1)])
-    checked = 0
-    # column j of Q0 solves L*q = B1[:, j], for L the (r*e) x c matrix of
-    # P0*A1: one elimination of [L | B1] gives each column's canonical
-    # solution, and Q0 = part + N*Z runs over all of them, Z read row by
-    # row in the order of the canonical solutions of the (r*c*e) x c^2
-    # system on the entries of Q0
-    B1cols = B1.transpose(0, 2, 1).reshape(r * alg.e, c)
-    for P0 in passing:
-        L = np.einsum("il,ljf->ifj", P0, A1).reshape(r * alg.e, c) % p
-        R, pivots = linalg.rref(np.concatenate([L, B1cols], axis=1), p)
-        if pivots and pivots[-1] >= c:
-            continue
-        part = np.zeros((c, c), dtype=np.int64)
-        part[pivots] = R[:len(pivots), c:]
-        null = linalg.nullspace(L, p)
-        checked += p ** null.size
-        if checked > budget:
-            raise BudgetExceededError(
-                "equivalence search budget exceeded", required=checked, budget=budget
-            )
-        for combo in itertools.product(range(p), repeat=null.size):
-            Q0 = (part + null @ np.array(combo, dtype=np.int64).reshape(-1, c)) % p
-            if not linalg.det_nonzero(Q0, p):
-                continue
-            witness = _try_quadratic(M1, M2, P0, Q0, corr, A2, B2)
-            if witness is not None:
-                return witness
+            f"equivalence search budget exceeded: {p ** k} Hom-kernel elements "
+            f"({p}^{k}), at most {budget}", required=p ** k, budget=budget)
+    for lead in range(k - 1, -1, -1):
+        for tail in itertools.product(range(p), repeat=k - 1 - lead):
+            v = K[:, lead:] @ ((1,) + tail) % p
+            P0, Y0 = v[:r * r].reshape(r, r), v[r * r:].reshape(c, c)
+            if linalg.det_nonzero(P0, p) and linalg.det_nonzero(Y0, p):
+                return _lift_hom(M1, M2, P0, Y0, corr)
     return None
 
 
-def _try_quadratic(M1, M2, P0, Q0, corr, A2_flat, B2):
-    """Given matching linear parts, solve the quadratic membership and
-    construct an exact witness.  `corr` returns `correction_space(M1)`;
-    it is called only when the quadratic parts differ, since a zero
-    right side has the canonical solution 0."""
+def _lift_hom(M1, M2, P0, Y0, corr) -> EquivalenceWitness:
+    """The verified witness of a kernel vector (P0, Y0) of `_top_hom(M1,
+    M2)` with both parts invertible, `corr` the correction space it
+    returned.
+
+    The degree-2 equation L*A1 + B1*R = P0*A2 - B2*Y0 is solved over
+    `correction_space(M1, M2)` for degree-1 L and R, with the canonical
+    solution 0 when the right side is 0.  With Q0 = Y0^-1 and
+    P0^-1*B1 = A1*Q0 this reads A2 + A*A1 + A1*B = P0^-1*B2*Q0^-1 for
+    A = -P0^-1*L and B = -Q0*R, the corrections `_lift_witness` takes.
+    """
     alg = M1.algebra
-    p = alg.p
-    P0inv = linalg.inv(P0, p)
-    Q0inv = linalg.inv(Q0, p)
-    target = np.einsum("il,ljs,jm->ims", P0inv, B2, Q0inv) % p
-    rhs = (target.reshape(-1) - A2_flat) % p
-    if not rhs.any():
-        coeffs = np.zeros((M1.rows ** 2 + M1.cols ** 2) * alg.e, dtype=np.int64)
-    else:
-        coeffs = linalg.solve(corr(), rhs, p)
-        if coeffs is None:
-            return None
+    p, e, r, c = alg.p, alg.e, M1.rows, M1.cols
+    Q0 = linalg.inv(Y0, p)
+    rhs = (np.einsum("il,ljs->ijs", P0, M1.quadratic_part())
+           - np.einsum("ils,lj->ijs", M2.quadratic_part(), Y0)) % p
+    coeffs = np.zeros((r * r + c * c) * e, dtype=np.int64)
+    if rhs.any():
+        LR = linalg.solve(corr, rhs.reshape(-1), p)
+        if LR is None:
+            raise AssertionError("internal error: Hom kernel vector failed to lift")
+        L, R = LR[:r * r * e].reshape(r, r, e), LR[r * r * e:].reshape(c, c, e)
+        coeffs[:r * r * e] = np.einsum("ia,alm->ilm", linalg.inv(P0, p), L).reshape(-1)
+        coeffs[r * r * e:] = np.einsum("lb,bjm->ljm", Q0, R).reshape(-1)
+        coeffs = -coeffs % p
     return _lift_witness(M1, M2, P0, Q0, coeffs)
 
 
 def _lift_witness(M1, M2, P0, Q0, coeffs) -> EquivalenceWitness:
     """P = P0*(I + A), Q = (I + B)*Q0 for the degree-1 corrections (A, B)
-    read from `correction_space` coefficients, verified to carry M1 to M2.
+    read from `correction_space(M1, M1)` coefficients, verified to carry
+    M1 to M2.
 
     A and B have degree-1 entries and m^3 = 0, so (I + A)*M1*(I + B) =
     M1 + A*L + L*B for L the linear part of M1, and the degree-2 parts of
@@ -875,51 +835,17 @@ def _lift_witness(M1, M2, P0, Q0, coeffs) -> EquivalenceWitness:
     return w
 
 
-def _gl_order(n: int, p: int) -> int:
-    order = 1
-    for i in range(n):
-        order *= p**n - p**i
-    return order
-
-
 # -- indecomposability ---------------------------------------------------------
-
-
-def _commutator_system(X: np.ndarray) -> np.ndarray:
-    """The linear map (P0, Q0) -> P0*X - X*Q0 for scalar P0 (r x r) and
-    Q0 (c x c) and an (r, c, t) coefficient array X: an (r*c*t) x
-    (r*r + c*c) matrix, rows in (i, j, coordinate) order, unknowns P0
-    then Q0, each read row by row."""
-    r, c, t = X.shape
-    left = np.einsum("ia,ljf->ijfal", np.eye(r, dtype=np.int64), X)
-    right = np.einsum("ilf,jb->ijflb", X, np.eye(c, dtype=np.int64))
-    return np.concatenate([left.reshape(r * c * t, r * r),
-                           -right.reshape(r * c * t, c * c)], axis=1)
 
 
 def _top_algebra(M: PresentationMatrix) -> np.ndarray:
     """A basis of pi(E) = {phi0[:, :, 0]} for the endomorphisms
-    (phi0, phi1) of a minimal M, as an (n, r, r) array.
-
-    Split phi0 = P0 + P1 + P2 and phi1 = Q0 + Q1 + Q2 by degree and
-    M = M1 + M2.  Since m^3 = 0, phi0*M = M*phi1 reads P0*M1 = M1*Q0 in
-    degree 1 and P0*M2 - M2*Q0 = M1*Q1 - P1*M1 in degree 2, and nothing
-    in higher degrees; P2 and Q2 are free.  As P1 and Q1 range over all
-    degree-1 matrices the right side of degree 2 fills the span of
-    `correction_space(M)`.  So P0 lies in pi(E) iff some Q0 has
-    P0*M1 = M1*Q0 and W*(P0*M2 - M2*Q0) = 0, for W the left kernel of
-    that span: r*c*e equations (and W's rows when M2 != 0) on the
-    r*r + c*c unknowns (P0, Q0), instead of the full endomorphism system.
-    """
-    A = M.algebra
-    p, e, r = A.p, A.e, M.rows
-    sys = _commutator_system(M.entries[:, :, 1:1 + e])
-    M2 = M.entries[:, :, 1 + e:]
-    if M2.any():
-        W = linalg.nullspace(correction_space(M).T, p).T
-        sys = np.concatenate([sys, W @ _commutator_system(M2)])
-    P0 = linalg.nullspace(sys % p, p)[: r * r]
-    return P0[:, linalg.independent_columns(P0, p)].T.reshape(-1, r, r)
+    (phi0, phi1) of a minimal M, as an (n, r, r) array: the independent
+    P0 parts of `_top_hom(M, M)`, r*r + c*c unknowns instead of the full
+    endomorphism system."""
+    r = M.rows
+    P0 = _top_hom(M, M)[0][: r * r]
+    return P0[:, linalg.independent_columns(P0, M.algebra.p)].T.reshape(-1, r, r)
 
 
 def _endomorphism_kernel(M: PresentationMatrix) -> np.ndarray:

@@ -205,7 +205,7 @@ def _pair_form(mat, P0, Q0):
     N1 = np.einsum("il,lje,jm->ime", P0, A1, Q0) % p
     if any(N1[i, j].any() for i, j in below):
         return None
-    corr = correction_space(mat)
+    corr = correction_space(mat, mat)
     N2_base = np.einsum("il,ljs,jm->ims", P0, A2, Q0) % p
     conj = np.einsum("il,ljsg,jm->imsg", P0, corr.reshape(n, n, s2, -1), Q0) % p
     sysA = np.stack([conj[i, j].reshape(s2, -1) for i, j in below]
@@ -388,9 +388,9 @@ def test_find_ut_form_builds_correction_space_only_when_needed(S2, S3, monkeypat
     # UT-compatible pair has a nonzero quadratic part below the diagonal
     calls = []
     build = filtration.correction_space
-    def spy(mat):
+    def spy(mat, other):
         calls.append(mat)
-        return build(mat)
+        return build(mat, other)
     monkeypatch.setattr(filtration, "correction_space", spy)
     for A in (S2, S3):
         rng = np.random.default_rng(500 + A.p)

@@ -1,12 +1,13 @@
 import functools
 import hashlib
 import itertools
+import time
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from trmod import modmat
+from trmod import filtration, modmat
 from trmod.algebra import AlgebraSpec, RingElement, build_algebra
 from trmod.classify import _ut2, enumerate_ezd, superdiagonal_candidates
 from trmod.errors import BudgetExceededError, ValidationError
@@ -607,37 +608,57 @@ def _cases(p, seed):
             yield syzygy(mat)
 
 
-def _verdicts_and_witnesses(p, seed):
-    """sha256 of is_indecomposable's verdicts and idempotents, and of
-    is_equivalent's witnesses for each case against a seeded P*M*Q, over
-    the cases with at most two rows (and two columns, for is_equivalent)."""
-    rng = np.random.default_rng(seed + 1000)
+def _disguise(rng, mat):
+    """P*mat*Q for seeded ring matrices P and Q with invertible constant
+    parts."""
+    A, p, r, c = mat.algebra, mat.algebra.p, mat.rows, mat.cols
+    P, Q = (rng.integers(0, p, size=(n, n, A.dim)) for n in (r, c))
+    while not (linalg.det_nonzero(P[:, :, 0], p) and linalg.det_nonzero(Q[:, :, 0], p)):
+        P[:, :, 0] = rng.integers(0, p, size=(r, r))
+        Q[:, :, 0] = rng.integers(0, p, size=(c, c))
+    return PresentationMatrix(A, ring_matmul(A, ring_matmul(A, P, mat.entries), Q))
+
+
+def _indecomposable_digest(p, seed):
+    """sha256 of is_indecomposable's verdicts and idempotents over the
+    cases with at most two rows."""
     h = hashlib.sha256()
     for mat in _cases(p, seed):
         if mat.rows > 2 or not mat.is_minimal:
             continue
-        A = mat.algebra
         indec, idem = is_indecomposable(mat)
         h.update(bytes([indec]) + (b"" if idem is None else idem.tobytes()))
-        if mat.cols > 2:
+    return h.hexdigest()
+
+
+def _equivalent_digest(p, seed):
+    """sha256 of is_equivalent's witnesses for each case with at most two
+    rows and two columns against a seeded P*M*Q."""
+    rng = np.random.default_rng(seed + 1000)
+    h = hashlib.sha256()
+    for mat in _cases(p, seed):
+        if mat.rows > 2 or mat.cols > 2 or not mat.is_minimal:
             continue
-        P, Q = (rng.integers(0, p, size=(n, n, A.dim)) for n in (mat.rows, mat.cols))
-        while not (linalg.det_nonzero(P[:, :, 0], p) and linalg.det_nonzero(Q[:, :, 0], p)):
-            P[:, :, 0] = rng.integers(0, p, size=(mat.rows, mat.rows))
-            Q[:, :, 0] = rng.integers(0, p, size=(mat.cols, mat.cols))
-        moved = PresentationMatrix(A, ring_matmul(A, ring_matmul(A, P, mat.entries), Q))
+        moved = _disguise(rng, mat)
         w = is_equivalent(mat, moved)
         assert w is not None and w.verify(mat, moved)
         h.update(w.P.tobytes() + w.Q.tobytes())
     return h.hexdigest()
 
 
-# The digests that is_indecomposable with its per-column top action and
-# is_equivalent with its index-loop Q0 system gave on these cases.
-_PINNED = {
-    2: "293a78bbc3b1af408f127a2f9fce2839dbb557a91fc60cb55ce4a0b8d1b96372",
-    3: "fe8b971d557326dad99e4ff5ed84535308bb0b898a4cd1b41c72a065267d3371",
-    5: "c48cb7d758ac1db978e36d8f0a747470bd1d69987c19856642684e238cf2c38f",
+# The digests that is_indecomposable with its per-column top action gave
+# on these cases.
+_PINNED_INDECOMPOSABLE = {
+    2: "b28953d449be3e0cfaa3f1106fa0250209f7f8c22642abe8682de6912acb27c1",
+    3: "aea6643bee6012cb615b842300c878616626160a63415d9fde59d129f69c9362",
+    5: "fb2a865e29b1150677d647f164c1e5504c191541ed63fbb8bd0442e602644809",
+}
+# The digests of the witnesses that is_equivalent lifts from the first
+# kernel vector of _top_hom with invertible parts.
+_PINNED_EQUIVALENT = {
+    2: "d54a0db6f4c54af96da0524e4f3d427c969034e261de5cb17b209f45437e3b4d",
+    3: "fba3d9976de99d10efded76bccc9801b7f03aa83b0566a9e20f3a4a23e0bfe0b",
+    5: "c7fbb2cba0c15878b5bc9fa368d8f5852a61e950aef4c24704f9cd384c5f582c",
 }
 
 
@@ -678,7 +699,8 @@ def test_one_rref_span_building_matches_greedy_add(p, seed):
                 assert _same(lift.entries, _loop_lift(ext, w))
                 assert _same(ext.class_of(lift).coords, _loop_class_coords(ext, lift))
     assert all(branches.values()), branches
-    assert _verdicts_and_witnesses(p, seed) == _PINNED[p]
+    assert _indecomposable_digest(p, seed) == _PINNED_INDECOMPOSABLE[p]
+    assert _equivalent_digest(p, seed) == _PINNED_EQUIVALENT[p]
 
 
 def _square_reducible(mat, rng):
@@ -717,7 +739,7 @@ def test_ring_matmul_pivot_steps_match_entry_loops(p, seed):
                 got, ref = column_reduce_to_ut(X), _loop_column_reduce_to_ut(X)
                 assert (got is None) == (ref is None)
                 assert got is None or _same(got.entries, ref.entries)
-        corr, (ref, gens) = correction_space(mat), _loop_correction_space(mat)
+        corr, (ref, gens) = correction_space(mat, mat), _loop_correction_space(mat)
         assert _same(corr, ref)
         coeffs = rng.integers(0, p, size=corr.shape[1])
         for got, want in zip(_build_correction_matrices(mat, coeffs),
@@ -725,24 +747,29 @@ def test_ring_matmul_pivot_steps_match_entry_loops(p, seed):
             assert _same(got, want)
 
 
-# -- the P0 table filter of is_equivalent ---------------------------------------
+# -- is_equivalent against a scan of GL_r -----------------------------------------
 
 
-def _scan_is_equivalent(M1, M2, budget=modmat.DEFAULT_BUDGET):
-    """is_equivalent's scalar search without the u*A1*v table: one solve
-    of P0*A1*Q0 = B1 for every P0 in GL_r."""
+@functools.cache
+def _general_linear_group(n, p):
+    """Every invertible n x n matrix over F_p, in itertools.product order."""
+    return [S for S in (np.array(combo, dtype=np.int64).reshape(n, n)
+                        for combo in itertools.product(range(p), repeat=n * n))
+            if linalg.det_nonzero(S, p)]
+
+
+def _scan_is_equivalent(M1, M2):
+    """The graded normal form scan: for every P0 in GL_r, every invertible
+    Q0 with P0*A1*Q0 = B1, and a degree-1 correction that carries the
+    quadratic part A2 to P0^-1*B2*Q0^-1 over correction_space(M1, M1)."""
     alg, p = M1.algebra, M1.algebra.p
     if M1.rows != M2.rows or M1.cols != M2.cols:
         return None
     r, c = M1.rows, M1.cols
-    gl_r_size = modmat._gl_order(r, p)
-    if gl_r_size > budget:
-        raise BudgetExceededError("exceeded", required=gl_r_size, budget=budget)
     A1, B1 = M1.linear_part(), M2.linear_part()
     A2, B2 = M1.quadratic_part().reshape(-1), M2.quadratic_part()
-    corr = correction_space(M1)
-    checked = 0
-    for P0 in modmat.general_linear_group(r, p):
+    corr = correction_space(M1, M1)
+    for P0 in _general_linear_group(r, p):
         lhs = np.einsum("il,lje->ije", P0, A1) % p
         Asys = np.einsum("ilf,jk->ijflk", lhs, np.eye(c, dtype=np.int64)).reshape(
             r * c * alg.e, c * c)
@@ -750,28 +777,31 @@ def _scan_is_equivalent(M1, M2, budget=modmat.DEFAULT_BUDGET):
         if part is None:
             continue
         null = linalg.nullspace(Asys, p)
-        checked += p ** null.shape[1]
-        if checked > budget:
-            raise BudgetExceededError("exceeded", required=checked, budget=budget)
         for combo in itertools.product(range(p), repeat=null.shape[1]):
-            q = part.copy()
-            for t, cf in enumerate(combo):
-                if cf:
-                    q = (q + cf * null[:, t]) % p
-            Q0 = q.reshape(c, c)
-            if linalg.det_nonzero(Q0, p):
-                w = modmat._try_quadratic(M1, M2, P0, Q0, lambda: corr, A2, B2)
-                if w is not None:
-                    return w
+            Q0 = (part + null @ np.array(combo, dtype=np.int64)).reshape(c, c) % p
+            if not linalg.det_nonzero(Q0, p):
+                continue
+            target = np.einsum("il,ljs,jm->ims", linalg.inv(P0, p), B2, linalg.inv(Q0, p))
+            coeffs = linalg.solve(corr, (target.reshape(-1) - A2) % p, p)
+            if coeffs is not None:
+                return modmat._lift_witness(M1, M2, P0, Q0, coeffs)
     return None
 
 
-def _outcome(M1, M2, budget=modmat.DEFAULT_BUDGET, search=is_equivalent):
-    try:
-        w = search(M1, M2, budget=budget)
-    except BudgetExceededError as exc:
-        return ("budget", exc.required)
-    return None if w is None else (w.P.tobytes(), w.Q.tobytes())
+def _hom_tops(M1, M2):
+    """The degree-0 parts (P0, Y0) of the pairs (phi0, phi1) of ring
+    matrices with phi0*M1 = M2*phi1, from the full system over the
+    multiplication table, as a Subspace of F_p^(r2*r1 + c2*c1)."""
+    A = M1.algebra
+    p, d, C = A.p, A.dim, A.mult_table
+    (r1, c1), (r2, c2) = (M1.rows, M1.cols), (M2.rows, M2.cols)
+    # equation (i, j, f): coordinate f of (phi0*M1 - M2*phi1)[i, j]
+    sys0 = np.einsum("ab,def,lje->ajfbld", np.eye(r2, dtype=np.int64), C, M1.entries)
+    sys1 = np.einsum("jk,def,ild->ijflke", np.eye(c1, dtype=np.int64), C, M2.entries)
+    N = linalg.nullspace(np.concatenate([sys0.reshape(r2 * c1 * d, -1),
+                                         -sys1.reshape(r2 * c1 * d, -1)], axis=1) % p, p)
+    tops = np.concatenate([N[:r2 * r1 * d:d], N[r2 * r1 * d::d]])
+    return linalg.Subspace(r2 * r1 + c2 * c1, p, tops.T)
 
 
 def _filter_pairs(p, seed):
@@ -785,11 +815,7 @@ def _filter_pairs(p, seed):
         ent = rng.integers(0, p, size=(r, c, A.dim))
         ent[:, :, 0] = 0
         mat = PresentationMatrix(A, ent)
-        P, Q = (rng.integers(0, p, size=(n, n, A.dim)) for n in (r, c))
-        while not (linalg.det_nonzero(P[:, :, 0], p) and linalg.det_nonzero(Q[:, :, 0], p)):
-            P[:, :, 0] = rng.integers(0, p, size=(r, r))
-            Q[:, :, 0] = rng.integers(0, p, size=(c, c))
-        yield mat, PresentationMatrix(A, ring_matmul(A, ring_matmul(A, P, mat.entries), Q))
+        yield mat, _disguise(rng, mat)
         if r == c:
             swapped = ent.copy()
             swapped[[0, r - 1], [0, r - 1]] = ent[[r - 1, 0], [r - 1, 0]]
@@ -797,22 +823,6 @@ def _filter_pairs(p, seed):
         other = rng.integers(0, p, size=(r, c, A.dim))
         other[:, :, 0] = 0
         yield mat, PresentationMatrix(A, other)
-
-
-@pytest.mark.parametrize("p, seed", [(2, 21), (3, 22), (5, 23)])
-def test_is_equivalent_filter_matches_full_scan(p, seed):
-    found = missing = budget_stops = 0
-    for M1, M2 in _filter_pairs(p, seed):
-        got = _outcome(M1, M2)
-        assert got == _outcome(M1, M2, search=_scan_is_equivalent)
-        found += got is not None
-        missing += got is None
-        gl = modmat._gl_order(M1.rows, p)
-        for budget in (gl, gl + p):
-            small = _outcome(M1, M2, budget)
-            assert small == _outcome(M1, M2, budget, _scan_is_equivalent)
-            budget_stops += small is not None and small[0] == "budget"
-    assert found and missing and budget_stops
 
 
 def _degenerate_pairs(p, seed):
@@ -828,47 +838,88 @@ def _degenerate_pairs(p, seed):
         ent[:, :, 0] = 0
         ent[:, :, 1:1 + A.e] = 0 if k % 2 else ent[:, :1, 1:1 + A.e]
         mat = PresentationMatrix(A, ent)
-        P, Q = (rng.integers(0, p, size=(n, n, A.dim)) for n in (r, c))
-        while not (linalg.det_nonzero(P[:, :, 0], p) and linalg.det_nonzero(Q[:, :, 0], p)):
-            P[:, :, 0] = rng.integers(0, p, size=(r, r))
-            Q[:, :, 0] = rng.integers(0, p, size=(c, c))
-        yield mat, PresentationMatrix(A, ring_matmul(A, ring_matmul(A, P, mat.entries), Q))
+        yield mat, _disguise(rng, mat)
 
 
-@pytest.mark.parametrize("p, seed", [(2, 51), (3, 52)])
-def test_is_equivalent_tries_scalar_parts_in_kronecker_order(p, seed, monkeypatch):
-    # with every quadratic step failing, both searches try every
-    # invertible (P0, Q0): the same pairs, in the same order
-    tried = []
-    monkeypatch.setattr(modmat, "_try_quadratic",
-                        lambda M1, M2, P0, Q0, *rest: tried.append((P0.tobytes(), Q0.tobytes())))
-    for M1, M2 in _degenerate_pairs(p, seed):
-        assert is_equivalent(M1, M2) is None
-        got = tried[:]
-        tried.clear()
-        assert _scan_is_equivalent(M1, M2) is None
-        assert got == tried
-        assert len(got) > len({P0 for P0, _ in got})  # several Q0 for one P0
-        tried.clear()
+def _witness_bytes(w):
+    return None if w is None else (w.P.tobytes(), w.Q.tobytes())
 
 
-@pytest.mark.parametrize("r, c, p", [(1, 1, 2), (1, 3, 3), (2, 2, 3), (3, 2, 2),
-                                     (2, 3, 5), (3, 3, 3), (2, 2, 7)])
-def test_bilinear_table_matches_einsum(r, c, p):
-    # the matrix-product contraction gives the three-operand einsum's array
-    rng = np.random.default_rng(10 * r + c + 100 * p)
-    for e in (1, 3):
-        A1 = rng.integers(0, p, size=(r, c, e))
-        U, V = modmat._all_vectors(r, p), modmat._all_vectors(c, p)
-        ref = np.einsum("ui,ije,vj->uve", U, A1, V) % p
-        got = modmat.bilinear_table(A1, p)
-        assert got.shape == (p ** r, p ** c, e)
-        assert np.array_equal(got, ref)
+@pytest.mark.parametrize("p, seed", [(2, 21), (3, 22), (5, 23)])
+def test_is_equivalent_filter_matches_full_scan(p, seed):
+    # the verdict is the GL_r scan's, every witness verifies, the kernel
+    # of _top_hom is the top of the full Hom system, and the budget in
+    # Hom-kernel elements stops at p^k - 1 and decides at p^k.  Degenerate
+    # pairs over S:5 are left out: the scan tries 5^4 Q0 for each P0
+    degenerate = _degenerate_pairs(p, seed + 30) if p < 5 else ()
+    found = missing = 0
+    for M1, M2 in itertools.chain(_filter_pairs(p, seed), degenerate):
+        w = is_equivalent(M1, M2)
+        assert (w is None) == (_scan_is_equivalent(M1, M2) is None)
+        assert w is None or w.verify(M1, M2)
+        found += w is not None
+        missing += w is None
+        K = modmat._top_hom(M1, M2)[0]
+        assert linalg.Subspace(K.shape[0], p, K.T) == _hom_tops(M1, M2)
+        k = K.shape[1]
+        with pytest.raises(BudgetExceededError, match=rf"{p ** k} Hom-kernel elements") as exc:
+            is_equivalent(M1, M2, budget=p ** k - 1)
+        assert (exc.value.required, exc.value.budget) == (p ** k, p ** k - 1)
+        assert _witness_bytes(is_equivalent(M1, M2, budget=p ** k)) == _witness_bytes(w)
+    assert found and missing
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(["S:2", "S:3", "S:5"]), st.integers(1, 3), st.integers(1, 3),
+       st.booleans(), st.integers(0, 2 ** 32 - 1))
+def test_top_hom_dimension_survives_disguise(ring, r, c, linear, seed):
+    # Hom(coker M, coker P*M*Q) is Hom(coker M, coker M), and the kernel
+    # of _top_hom is its image in the scalar parts
+    A = _graded_ring(ring)
+    rng = np.random.default_rng(seed)
+    ent = rng.integers(0, A.p, size=(r, c, A.dim))
+    ent[:, :, 0] = 0
+    if linear:
+        ent[:, :, 1 + A.e:] = 0
+    mat = PresentationMatrix(A, ent)
+    moved = _disguise(rng, mat)
+    k = modmat._top_hom(mat, mat)[0].shape[1]
+    assert modmat._top_hom(mat, moved)[0].shape[1] == k
+    assert modmat._top_hom(moved, mat)[0].shape[1] == k
+    w = is_equivalent(mat, moved)
+    assert w is not None and w.verify(mat, moved)
+
+
+def _bidiagonal(A, n, a, b):
+    """The n x n matrix with diagonal a, b, a, ... and z + x*y above it."""
+    return M(A, [[(a if i % 2 == 0 else b) if j == i else "z + x*y" if j == i + 1 else "0"
+                  for j in range(n)] for i in range(n)])
+
+
+@pytest.mark.parametrize("p, n", [(3, 4), (2, 5)])
+def test_is_equivalent_decides_large_indecomposables(p, n):
+    # past the reach of a sweep of GL_n(F_p) (24,261,120 elements of
+    # GL_4(F_3), 9,999,360 of GL_5(F_2)): disguises with degree-1 and
+    # degree-2 parts in P and Q get verified witnesses, and swapping the
+    # diagonal gives a module that is not isomorphic
+    A = _graded_ring(f"S:{p}")
+    mat, swap = _bidiagonal(A, n, "x", "x + y"), _bidiagonal(A, n, "x + y", "x")
+    assert is_indecomposable(mat)[0] and is_indecomposable(swap)[0]
+    rng = np.random.default_rng(700 + n)
+    for _ in range(3):
+        moved = _disguise(rng, mat)
+        start = time.perf_counter()
+        w = is_equivalent(mat, moved)
+        assert time.perf_counter() - start < 1
+        assert w is not None and w.verify(mat, moved)
+    start = time.perf_counter()
+    assert is_equivalent(mat, swap) is None
+    assert time.perf_counter() - start < 1
 
 
 def test_is_equivalent_skips_unsolvable_linear_parts(S2, monkeypatch):
-    # no P0 lets any Q0, singular or not, carry one linear part to the
-    # other, so the table rejects every P0 before the linear solve
+    # no kernel vector of the Hom system has both parts invertible, so
+    # nothing is lifted and nothing solved
     calls = []
     solve = linalg.solve
     def spy(*args):
@@ -980,20 +1031,18 @@ def test_has_m2_column_rejects_non_minimal(S2):
 
 
 @pytest.mark.parametrize("n, p", [(1, 5), (2, 2), (2, 3), (2, 5), (3, 2), (3, 3)])
-def test_general_linear_group_matches_product_loop(n, p, monkeypatch):
-    ref = np.stack([S for S in (np.array(combo, dtype=np.int64).reshape(n, n)
-                                for combo in itertools.product(range(p), repeat=n * n))
-                    if linalg.det_nonzero(S, p)])
-    for chunk in (modmat._GL_CHUNK, 7):  # one chunk, and many
-        monkeypatch.setattr(modmat, "_GL_CACHE", {})
-        monkeypatch.setattr(modmat, "_GL_CHUNK", chunk)
-        assert _same(modmat.general_linear_group(n, p), ref)
-    assert len(ref) == modmat._gl_order(n, p)
+def test_general_linear_group_matches_product_loop(n, p):
+    # the order find_ut_form counts its flag pairs with is the size of the
+    # GL_n(F_p) that the equivalence oracle enumerates
+    G = _general_linear_group(n, p)
+    assert len(G) == filtration._gl_order(n, p)
+    assert len({g.tobytes() for g in G}) == len(G)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 @pytest.mark.parametrize("p", [2, 3, 5, 7])
 def test_nonsingular_matches_determinant(n, p):
+    # det_nonzero, the invertibility test of the Hom-kernel sweep, on
     # seeded stacks, a quarter with a last row that is a multiple of the
     # first; every 2x2 matrix over F_2 and F_3
     rng = np.random.default_rng(10 * n + p)
@@ -1002,9 +1051,24 @@ def test_nonsingular_matches_determinant(n, p):
     if n == 2 and p <= 3:
         S = np.array(list(itertools.product(range(p), repeat=4))).reshape(-1, 2, 2)
     det = np.rint(np.linalg.det(S)).astype(np.int64) % p
-    mask = modmat._nonsingular(S, p)
+    mask = np.array([linalg.det_nonzero(X, p) for X in S])
     assert mask.tolist() == (det != 0).tolist()
     assert mask.any() and not mask.all()
+
+
+@pytest.mark.parametrize("r, c, p", [(1, 1, 2), (1, 3, 3), (2, 2, 3), (3, 2, 2),
+                                     (2, 3, 5), (3, 3, 3), (2, 2, 7)])
+def test_commutator_system_matches_einsum(r, c, p):
+    # the gathered system applied to (P0, Y0) is P0*X - Z*Y0, for X and Z
+    # of one shape and of two
+    rng = np.random.default_rng(10 * r + c + 100 * p)
+    for r1, c2, t in ((r, c, 1), (r, c, 3), (c, r, 2)):
+        X, Z = rng.integers(0, p, size=(r1, c, t)), rng.integers(0, p, size=(r, c2, t))
+        P0, Y0 = rng.integers(0, p, size=(r, r1)), rng.integers(0, p, size=(c2, c))
+        system = modmat._commutator_system(X, Z)
+        assert system.shape == (r * c * t, r * r1 + c2 * c)
+        ref = np.einsum("ia,ajf->ijf", P0, X) - np.einsum("ilf,lj->ijf", Z, Y0)
+        assert np.array_equal(system @ np.concatenate([P0.ravel(), Y0.ravel()]), ref.ravel())
 
 
 def test_is_equivalent_builds_correction_space_only_when_needed(S2, monkeypatch):

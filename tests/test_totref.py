@@ -1,4 +1,5 @@
 import functools
+import time
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -195,6 +196,25 @@ def test_equivalence_repeat_only_without_literal_one(p):
     deep = check_totally_reflexive(mat, depth=3)
     assert deep.certified and (deep.preperiod, deep.period) == (1, 2)
     assert "periodic window found: preperiod 1, period 2" in deep.log
+
+
+def test_equivalence_repeat_certifies_3x3_over_s5_quickly():
+    # a UT matrix with EZD diagonal whose differentials first repeat
+    # literally at step 12 (preperiod 2, period 10): at depth 8 only the
+    # equivalence stage can close the window, and it does so in well
+    # under a second
+    A = build_algebra(AlgebraSpec.canonical_s(5))
+    mat = M(A, [["x + y + 4*z", "x + 4*y + z + 2*x*y + 2*x*z", "2*x + 3*y + 2*z + 3*x*z"],
+                ["0", "x + y + z", "3*x + 2*y + 4*z + 2*x*y + 4*x*z"],
+                ["0", "0", "x + 4*z"]])
+    literal = check_totally_reflexive(mat)
+    assert (literal.preperiod, literal.period) == (2, 10)
+    start = time.perf_counter()
+    cert = check_totally_reflexive(mat, depth=8)
+    assert time.perf_counter() - start < 1
+    assert cert.certified and (cert.preperiod, cert.period) == (6, 2)
+    assert "periodic window found up to equivalence: preperiod 6, period 2" in cert.log
+    assert verify_periodic_window(cert.window)
 
 
 def test_equivalence_search_nearest_first_and_only_at_depth(S2, monkeypatch):
