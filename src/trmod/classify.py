@@ -2,9 +2,10 @@
 
 Enumerates 2 x 2 upper triangular matrices [[u, a], [0, t]] with u, t
 exact zero divisor representatives and a a degree-1 superdiagonal with
-no x-term, filters decomposables, and groups the rest into equivalence
-classes, each represented by its smallest member in the listing order
-(u first, then t, then a).
+zero coefficient at the pivot of u's linear part (over S with x listed
+first, no x-term), filters decomposables, and groups the rest into
+equivalence classes, each represented by its smallest member in the
+listing order (u first, then t, then a).
 """
 
 from __future__ import annotations
@@ -97,16 +98,25 @@ def enumerate_cyclic_tr(A: GradedLocalAlgebra) -> list[PresentationMatrix]:
     return out
 
 
-def superdiagonal_candidates(A: GradedLocalAlgebra) -> list[RingElement]:
-    """Nonzero degree-1 elements with zero coefficient on the first
-    variable, in listing order.  The first-variable term can always be
-    removed from the superdiagonal by an equivalence, so these suffice."""
+def _pivot(u: RingElement) -> int:
+    """Basis position of the first nonzero coefficient of u's linear part."""
+    A = u.algebra
+    return 1 + int(np.flatnonzero(u.coeffs[1:1 + A.e] % A.p)[0])
+
+
+def superdiagonal_candidates(A: GradedLocalAlgebra, u: RingElement) -> list[RingElement]:
+    """Nonzero degree-1 elements with zero coefficient at the pivot of
+    u's linear part, in listing order.  Adding a multiple of column 1 to
+    column 2 adds a multiple of u to the superdiagonal, which clears
+    that coefficient, so these suffice."""
+    piv = _pivot(u)
+    rest = [i for i in range(1, 1 + A.e) if i != piv]
     out = []
     for combo in itertools.product(range(A.p), repeat=A.e - 1):
         if not any(combo):
             continue
         coeffs = np.zeros(A.dim, dtype=np.int64)
-        coeffs[2:2 + A.e - 1] = combo
+        coeffs[rest] = combo
         out.append(RingElement(A, coeffs))
     out.sort(key=lambda a: a.order_key())
     return out
@@ -121,17 +131,21 @@ def _ut2(A, u, t, a) -> PresentationMatrix:
 
 
 def _canonical_superdiagonal(A, a, u, t) -> RingElement:
-    """Smallest element of the identification orbit a ~ a + lambda(t - u).
+    """Smallest element of the identification orbit a ~ a + lambda(t - c*u),
+    c = t_k / u_k at the pivot k of u's linear part.
 
-    Adding row 2 to row 1 and subtracting column 1 from column 2 turns
-    [[u, a], [0, t]] into [[u, a + t - u], [0, t]]; the leading terms of
-    u and t cancel, so the orbit stays inside the candidate set.
+    Adding row 2 to row 1 and subtracting c times column 1 from column 2
+    turns [[u, a], [0, t]] into [[u, a + t - c*u], [0, t]]; the
+    coefficients at k cancel, so the orbit stays inside the candidate
+    set.  Over S with x listed first, k is x and c = 1.
     """
-    diff = (t.coeffs - u.coeffs) % A.p
+    k = _pivot(u)
+    c = int(t.coeffs[k]) * pow(int(u.coeffs[k]), A.p - 2, A.p)
+    diff = (t.coeffs - c * u.coeffs) % A.p
     best = a
     for lam in range(1, A.p):
         cand = RingElement(A, (a.coeffs + lam * diff) % A.p)
-        if not cand or cand.coeffs[1] % A.p or cand.degree_two_part().any():
+        if not cand or cand.degree_two_part().any():
             continue
         if cand.order_key() < best.order_key():
             best = cand
@@ -142,17 +156,17 @@ def classify_ut2(A: GradedLocalAlgebra, budget: int = 200_000) -> ClassTable:
     """Classify the 2 x 2 upper triangular totally reflexive modules.
 
     Enumeration: u, t over exact zero divisor representatives, a over
-    the superdiagonal candidates, with the a ~ a - t identification
-    applied up front (speed only: the final grouping re-certifies every
-    membership with the full equivalence test).
+    the superdiagonal candidates of u, with the a ~ a + lambda(t - c*u)
+    identification applied up front (speed only: the final grouping
+    re-certifies every membership with the full equivalence test).
     """
     _warn_if_gorenstein(A)
     ezd = [pair.a for pair in enumerate_ezd(A)]
     ezd.sort(key=lambda g: g.order_key())
-    sup = superdiagonal_candidates(A)
     seen = set()
     candidates = []  # (u, t, a) in listing order
     for u in ezd:
+        sup = superdiagonal_candidates(A, u)
         for t in ezd:
             for a in sup:
                 canon = _canonical_superdiagonal(A, a, u, t)
@@ -209,10 +223,10 @@ def swap_isomorphism_check(A: GradedLocalAlgebra) -> dict:
     """
     ezd = [pair.a for pair in enumerate_ezd(A)]
     ezd.sort(key=lambda g: g.order_key())
-    sup = superdiagonal_candidates(A)
     cases = []
     deviations = []
     for u in ezd:
+        sup = superdiagonal_candidates(A, u)
         for t in ezd:
             for a in sup:
                 M1 = _ut2(A, u, t, a)

@@ -35,18 +35,6 @@ from .modmat import (
 )
 
 
-def _hom_matrix(cok: CokernelSpace, D: PresentationMatrix) -> np.ndarray:
-    """Precomposition with D as a matrix on coordinate vectors.
-
-    D presents R^cols -> R^rows; the induced map sends a homomorphism
-    phi in cok^rows to psi in cok^cols with psi_j = sum_i D[i,j] phi_i,
-    so block (j, i) is the induced multiplication by D[i, j].
-    """
-    q = cok.length
-    H = np.einsum("ijs,skl->jkil", D.entries, cok.action) % cok.p
-    return H.reshape(D.cols * q, D.rows * q)
-
-
 @dataclass
 class ExtSpace:
     """Ext^1(coker N, coker M) with an explicit k-basis of cosets."""
@@ -107,8 +95,8 @@ def ext1(N: PresentationMatrix, M: PresentationMatrix) -> ExtSpace:
     p = M.algebra.p
     cok = CokernelSpace(M)
     d2 = syzygy(N)
-    H1 = _hom_matrix(cok, N)
-    H2 = _hom_matrix(cok, d2)
+    H1 = cok.hom_matrix(N)
+    H2 = cok.hom_matrix(d2)
     Z = linalg.nullspace(H2, p)
     # one RREF of [H1 | Z]: its pivots in H1 give rank H1, those in Z the
     # representatives, kernel vectors extending the coboundary space

@@ -96,9 +96,10 @@ def independent_columns(A, p: int, skip: int = 0) -> list[int]:
 
     These are the vectors a loop of `Subspace.add` over A's columns in
     order keeps once it has added the first `skip`: the pivot columns of
-    one RREF.
+    one forward elimination, which are those of the RREF.
     """
-    _, pivots = rref(A, p)
+    R = _as_matrix(A) % p
+    pivots = _rref_rows(R.tolist(), R.shape[1], p, _above=False)
     return [c - skip for c in pivots if c >= skip]
 
 

@@ -44,11 +44,13 @@ and the grading splits this system too: the degree-0 parts (P0, Q0)
 of a solution are exactly those with P0*M1 = M1*Q0 and P0*M2 - M2*Q0
 in the span of `correction_space(M, M)`.  So the top algebra {P0},
 which decides `is_indecomposable`, comes from r*r + c*c unknowns
-(`_top_algebra`, from the Hom system of M with itself).  The full
-system and the q x q operators it induces on the cokernel are built by
-`endomorphism_space`, and by `is_indecomposable` only for a module it
-finds decomposable, and then only for the kernel columns its
-idempotent is made of.
+(`_top_algebra`, from the Hom system of M with itself).  End(coker M)
+itself is built on the module side: the images of the generators in
+cokernel coordinates that every column of M kills, the kernel of
+`CokernelSpace.hom_matrix(M)`, each read as a q x q operator with one
+einsum over the cokernel's R-action (`endomorphism_space`).
+`is_indecomposable` builds it only for a module it finds decomposable,
+to lift the idempotent it found.
 """
 
 from __future__ import annotations
@@ -134,7 +136,7 @@ class PresentationMatrix:
         return RingElement(self.algebra, self.entries[i, j].copy())
 
     def transpose(self) -> "PresentationMatrix":
-        return PresentationMatrix(self.algebra, np.swapaxes(self.entries, 0, 1).copy())
+        return PresentationMatrix(self.algebra, np.swapaxes(self.entries, 0, 1))
 
     def linear_part(self) -> np.ndarray:
         """(r, c, e) array of degree-1 coefficients."""
@@ -335,8 +337,10 @@ class CokernelSpace:
     `section` maps coordinates (one vector, or one per row) back to that
     representative.  `action` is the (dim, length, length) tensor of the
     induced multiplication by each basis element of R, built on first
-    use; `mult_op` contracts it with an element's coefficients, so Hom
-    and Ext computations reduce to plain matrices.
+    use; `mult_op` contracts it with an element's coefficients.  This is
+    the one Hom engine: `hom_matrix(D)` is precomposition with D, whose
+    kernel is Hom(coker D, coker M), End(coker M) for D = M
+    (`endomorphism_space`), and the Hom complex of `ext.ext1`.
     """
 
     def __init__(self, M: PresentationMatrix):
@@ -380,6 +384,17 @@ class CokernelSpace:
     def mult_op(self, a_coeffs) -> np.ndarray:
         """Induced multiplication by a ring element, as length x length."""
         return np.einsum("s,skl->kl", np.asarray(a_coeffs) % self.p, self.action) % self.p
+
+    def hom_matrix(self, D: PresentationMatrix) -> np.ndarray:
+        """Precomposition with D as a matrix on coordinate vectors.
+
+        D presents R^cols -> R^rows; the induced map sends a homomorphism
+        phi in cok^rows to psi in cok^cols with psi_j = sum_i D[i,j] phi_i,
+        so block (j, i) is the induced multiplication by D[i, j].
+        """
+        q = self.length
+        H = np.einsum("ijs,skl->jkil", D.entries, self.action) % self.p
+        return H.reshape(D.cols * q, D.rows * q)
 
 
 # -- minimization and syzygies -------------------------------------------------
@@ -848,61 +863,25 @@ def _top_algebra(M: PresentationMatrix) -> np.ndarray:
     return P0[:, linalg.independent_columns(P0, M.algebra.p)].T.reshape(-1, r, r)
 
 
-def _endomorphism_kernel(M: PresentationMatrix) -> np.ndarray:
-    """Kernel N of the endomorphism system: its columns span the pairs
-    (phi0, phi1) of ring matrices with phi0*M = M*phi1, phi0 read from
-    the first r*r*d rows in (row, column, coefficient) order."""
-    A = M.algebra
-    p = A.p
-    d = A.dim
-    r, c = M.rows, M.cols
-    # Unknowns: phi0 (r*r*d) and phi1 (c*c*d), equations phi0*M - M*phi1 = 0
-    # as ring matrices, i.e. r*c*d scalar equations.
-    C = A.mult_table
-    # Equation (i, j, f) is coordinate f of (phi0*M - M*phi1)[i, j]:
-    # d/d phi0[i, l, dd] = sum_e C[dd, e, f] M[l, j, e] and
-    # d/d phi1[l, j, e] = -sum_dd C[dd, e, f] M[i, l, dd].
-    sys0 = np.einsum("ab,def,lje->ajfbld", np.eye(r, dtype=np.int64), C, M.entries)
-    sys1 = np.einsum("jk,def,ild->ijflke", np.eye(c, dtype=np.int64), C, M.entries)
-    sys = np.concatenate([sys0.reshape(r * c * d, r * r * d) % p,
-                          -sys1.reshape(r * c * d, c * c * d) % p], axis=1)
-    return linalg.nullspace(sys, p)
-
-
-def _endomorphism_operators(cok: CokernelSpace, N: np.ndarray) -> np.ndarray:
-    """The q x q operators on cok (the CokernelSpace of M) of the phi0 of
-    the columns of N, columns of M's endomorphism kernel, as (k, q, q)."""
-    M = cok.M
-    A = M.algebra
-    d = A.dim
-    r = M.rows
-    q, k = cok.length, N.shape[1]
-    # every phi0 linearized on R^r; the columns at cok.coords of all of
-    # them, side by side, projected in one call
-    phi0 = PresentationMatrix(A, N[: r * r * d].T.reshape(k * r, r, d))
-    big = linearize(phi0).reshape(k, r * d, r * d)[:, :, cok.coords]
-    ops = cok.project(big.transpose(1, 0, 2).reshape(r * d, k * q))
-    return ops.reshape(q, k, q).transpose(1, 0, 2)
-
-
 def endomorphism_space(M: PresentationMatrix):
     """(cok, basis): cok the CokernelSpace of M and basis a k-basis of
-    End(coker M) as q x q operators on it.
+    End(coker M) as (k, q, q) operators on it.
 
-    Endomorphisms are pairs (phi0, phi1) with phi0*M = M*phi1, the
-    kernel of one linear system; the induced operator on coker M depends
-    only on phi0 modulo matrices whose columns land in im(M).  Each phi0
-    of the kernel basis is linearized and its columns at the cokernel
-    coordinates projected, and the independent operators are kept in
-    kernel order.  `is_indecomposable` solves the same system, and
-    builds these operators only for the kernel columns an idempotent of
-    a module it finds decomposable is made of.
+    An endomorphism is fixed by the images of the r generators, a vector
+    phi in cok^r, and phi extends iff sum_i M[i, j] phi_i = 0 for every
+    column j: the kernel of `cok.hom_matrix(M)`, read as F of shape
+    (r, q, k).  Cokernel coordinate (generator j, basis element s) is
+    s*e_j, sent to s*phi_j, so column (j, s) of operator t is
+    action[s] @ F[j, :, t].  Distinct homomorphisms have distinct
+    operators, so the k operators are independent as they come.
     """
     cok = CokernelSpace(M)
-    ops = _endomorphism_operators(cok, _endomorphism_kernel(M))
-    q = cok.length
-    keep = linalg.independent_columns(ops.reshape(len(ops), q * q).T, M.algebra.p)
-    return cok, ops[keep]
+    r, d, q = M.rows, M.algebra.dim, cok.length
+    N = linalg.nullspace(cok.hom_matrix(M), cok.p)
+    k = N.shape[1]
+    F = N.reshape(r, q, k)
+    ops = np.einsum("sul,jlt->tujs", cok.action, F).reshape(k, q, r * d)
+    return cok, ops[:, :, cok.coords] % cok.p
 
 
 def _charpoly_coeffs(Mt: np.ndarray, p: int) -> np.ndarray:
@@ -1035,19 +1014,17 @@ def is_indecomposable(M: PresentationMatrix):
     endomorphism system.  The verdict, dim pi(E), J(pi E), dim E/J and
     whether E/J has a nontrivial idempotent do not depend on the basis
     of pi(E), so a module found indecomposable (or too large to sweep)
-    never solves the endomorphism system nor builds an operator.
+    never builds End(coker M) nor its cokernel model.
 
-    Stage two, only for an idempotent found, solves the endomorphism
-    system for its kernel N and sweeps E/J once more on the tops
-    phi0[:, :, 0] of all of N's columns, which picks the complement of J
-    among them, the structure constants and the sweep's idempotent in
-    the basis `endomorphism_space` keeps: a column it drops has its
-    operator, and hence its top, in the span of earlier ones, so the
-    complement lies among its columns.  Only those columns are
-    linearized and projected to the cokernel, and the idempotent is
-    lifted there.  J is shared between the stages: the complement and
-    the comp-coordinates of the products and of 1 depend on span(J)
-    only, not on its basis.
+    Stage two, only for an idempotent found, lifts it through
+    `endomorphism_space`.  Its target in pi(E) is the sweep's
+    combination of the top-algebra basis; the operators' blocks at the
+    degree-0 cokernel coordinates are their images under pi, so one
+    solve gives an operator over the target.  That operator is
+    idempotent modulo J(E) = pi^-1(J(pi E)), a nilpotent ideal, so
+    Newton's iteration lifts it to an exact idempotent, nontrivial since
+    its image in E/J is.  It is verified idempotent, nontrivial and
+    R-linear (it commutes with every `cok.action[s]`).
     """
     if not M.is_minimal:
         raise ValidationError("indecomposability requires a minimal matrix")
@@ -1065,18 +1042,19 @@ def is_indecomposable(M: PresentationMatrix):
         # unverifiable chain: take J = ker pi, which is nilpotent; the
         # quotient sweep below stays correct, just larger
         rad = np.zeros((0, r, r), dtype=np.int64)
-    rad = rad.reshape(-1, r * r)
-    if _quotient_idempotent(top, rad, p)[1] is None:
-        return True, None
-    N = _endomorphism_kernel(M)
-    tops = N[: r * r * d].reshape(r, r, d, -1)[:, :, 0].transpose(2, 0, 1) % p
-    comp, found = _quotient_idempotent(tops, rad, p)
+    comp, found = _quotient_idempotent(top, rad.reshape(-1, r * r), p)
     if found is None:
-        raise AssertionError("quotient idempotent lost in the kernel basis")
-    cok = CokernelSpace(M)
+        return True, None
+    target = np.einsum("t,tij->ij", found, top[comp]) % p
+    cok, ops = endomorphism_space(M)
     q = cok.length
+    # the degree-0 coordinates, one per generator in order: the top V/mV
+    at = [w for w, a in enumerate(cok.coords) if a % d == 0]
+    y = linalg.solve(ops[:, at][:, :, at].reshape(len(ops), r * r).T, target.reshape(-1), p)
+    if y is None:
+        raise AssertionError("top idempotent outside the image of End")
     # lift the quotient idempotent to an exact one (error squares each step)
-    e = np.einsum("t,tij->ij", found, _endomorphism_operators(cok, N[:, comp])) % p
+    e = np.einsum("t,tij->ij", y, ops) % p
     for _ in range(2 * q + 4):
         if ((e @ e) % p == e).all():
             break
@@ -1086,4 +1064,6 @@ def is_indecomposable(M: PresentationMatrix):
     ident = np.eye(q, dtype=np.int64)
     if not e.any() or (e == ident).all():
         raise AssertionError("lifted idempotent degenerated")
+    if ((cok.action @ e - e @ cok.action) % p).any():
+        raise AssertionError("lifted idempotent is not R-linear")
     return False, e

@@ -47,8 +47,23 @@ def test_enumerate_cyclic_tr_warns_on_gorenstein():
 
 
 def test_superdiagonal_candidates(S2, S3):
-    assert [repr(a) for a in superdiagonal_candidates(S2)] == ["y", "z", "y + z"]
-    assert len(superdiagonal_candidates(S3)) == 8
+    x2, x3 = S2.from_expr("x"), S3.from_expr("x")
+    assert [repr(a) for a in superdiagonal_candidates(S2, x2)] == ["y", "z", "y + z"]
+    assert len(superdiagonal_candidates(S3, x3)) == 8
+    # the dropped coordinate is the pivot of u's linear part
+    R = build_algebra(AlgebraSpec(2, ["y", "x", "z"], ["x^2", "y^2", "z^2", "y*z"]))
+    assert [repr(a) for a in superdiagonal_candidates(R, R.from_expr("y + x"))] == [
+        "x", "z", "x + z"]
+
+
+@pytest.mark.parametrize("p, counts", [(2, (24, 24)), (3, (108, 216))])
+def test_classification_is_independent_of_variable_order(p, counts):
+    # the same ring up to renaming: every listing of its variables gives
+    # the same class and indecomposable counts at the default budget
+    for order in itertools.permutations(["x", "y", "z"]):
+        A = build_algebra(AlgebraSpec(p, list(order), ["x^2", "y^2", "z^2", "y*z"]))
+        table = classify_ut2(A)
+        assert (len(table.classes), table.total_indecomposable) == counts, order
 
 
 def test_classification_count_f2(table2):

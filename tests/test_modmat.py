@@ -33,7 +33,7 @@ from trmod.modmat import (
     syzygy,
 )
 from trmod import linalg
-from trmod.ext import _hom_matrix, ext1
+from trmod.ext import ext1
 
 
 @pytest.fixture(scope="module")
@@ -386,7 +386,10 @@ def _greedy_has_m2_column(M):
     return False
 
 
-def _greedy_endomorphism_basis(M):
+def _ring_endomorphism_kernel(M):
+    """Kernel of the ring-side endomorphism system: its columns span the
+    pairs (phi0, phi1) of ring matrices with phi0*M = M*phi1, phi0 read
+    from the first r*r*d rows in (row, column, coefficient) order."""
     A = M.algebra
     p, d, C = A.p, A.dim, A.mult_table
     r, c = M.rows, M.cols
@@ -401,7 +404,18 @@ def _greedy_endomorphism_basis(M):
             for l in range(c):
                 block = np.einsum("def,d->ef", C, M.entries[i, l]) % p
                 sys[eq, n0 + (l * c + j) * d:n0 + (l * c + j + 1) * d] = -block.T % p
-    N = linalg.nullspace(sys, p)
+    return linalg.nullspace(sys, p)
+
+
+def _greedy_endomorphism_basis(M):
+    """End(coker M) from the ring-side system, each phi0 projected to
+    the cokernel one column at a time and kept one Subspace.add at a
+    time."""
+    A = M.algebra
+    p, d = A.p, A.dim
+    r = M.rows
+    n0 = r * r * d
+    N = _ring_endomorphism_kernel(M)
     cok = CokernelSpace(M)
     q = cok.length
     span = linalg.Subspace(q * q, p)
@@ -590,6 +604,21 @@ def _same(got, ref):
     return got.shape == ref.shape and got.dtype == ref.dtype and got.tobytes() == ref.tobytes()
 
 
+def _op_span(ops, p):
+    """The span of a stack of q x q operators, as a Subspace of F_p^(q*q)."""
+    n = ops.shape[1] ** 2
+    return linalg.Subspace(n, p, ops.reshape(len(ops), n))
+
+
+def _is_linear_idempotent(mat, e):
+    """e is a nontrivial idempotent operator on coker mat that commutes
+    with the action of R."""
+    cok, p = CokernelSpace(mat), mat.algebra.p
+    return (e.shape == (cok.length, cok.length) and (e @ e % p == e).all()
+            and e.any() and not (e == np.eye(cok.length, dtype=np.int64)).all()
+            and not ((cok.action @ e - e @ cok.action) % p).any())
+
+
 def _cases(p, seed):
     """Seeded minimal presentations over S:p, each followed by its first
     syzygy; shapes include r = 1 and c = 0."""
@@ -619,16 +648,18 @@ def _disguise(rng, mat):
     return PresentationMatrix(A, ring_matmul(A, ring_matmul(A, P, mat.entries), Q))
 
 
-def _indecomposable_digest(p, seed):
-    """sha256 of is_indecomposable's verdicts and idempotents over the
-    cases with at most two rows."""
-    h = hashlib.sha256()
+def _indecomposable_digests(p, seed):
+    """sha256 of is_indecomposable's verdicts, and of its idempotents,
+    over the cases with at most two rows."""
+    verdicts, idempotents = hashlib.sha256(), hashlib.sha256()
     for mat in _cases(p, seed):
         if mat.rows > 2 or not mat.is_minimal:
             continue
         indec, idem = is_indecomposable(mat)
-        h.update(bytes([indec]) + (b"" if idem is None else idem.tobytes()))
-    return h.hexdigest()
+        verdicts.update(bytes([indec]))
+        if idem is not None:
+            idempotents.update(idem.tobytes())
+    return verdicts.hexdigest(), idempotents.hexdigest()
 
 
 def _equivalent_digest(p, seed):
@@ -646,12 +677,18 @@ def _equivalent_digest(p, seed):
     return h.hexdigest()
 
 
-# The digests that is_indecomposable with its per-column top action gave
-# on these cases.
-_PINNED_INDECOMPOSABLE = {
-    2: "b28953d449be3e0cfaa3f1106fa0250209f7f8c22642abe8682de6912acb27c1",
-    3: "aea6643bee6012cb615b842300c878616626160a63415d9fde59d129f69c9362",
-    5: "fb2a865e29b1150677d647f164c1e5504c191541ed63fbb8bd0442e602644809",
+# The digests of is_indecomposable's verdicts on these cases.
+_PINNED_VERDICTS = {
+    2: "552d077d3a06b1188dc73be61a9d89b9193d0f3d57bdf4ee99557f43ac8498e3",
+    3: "f5b843d9d70728aa60df9dfce292436897debbf318415c71769e720eb3b1259d",
+    5: "2bbeff8509cb54c88ec80aa997ba8e0d36607c5fc461a5af2797742f998e8bca",
+}
+# The digests of the idempotents that is_indecomposable lifts through
+# the module-side operators of endomorphism_space.
+_PINNED_IDEMPOTENTS = {
+    2: "dbd36f9ed4f9ba3e1defd0f93e75722d74329e1b18e90c5fd3788e739fe92e1d",
+    3: "202902a479ac4f96e57eeafd14dc48bd7ae966ca2d78c82acec53f5294d5579b",
+    5: "4e0df47260e9141718c56d253446d7869fac1d5f8cbaf0c970dba1b8d9e04d5a",
 }
 # The digests of the witnesses that is_equivalent lifts from the first
 # kernel vector of _top_hom with invertible parts.
@@ -681,7 +718,9 @@ def test_one_rref_span_building_matches_greedy_add(p, seed):
             assert _same(cok.project(V), _loop_project(cok, V))
         if mat.rows <= 2:
             _, basis = endomorphism_space(mat)
-            assert _same(basis, _greedy_endomorphism_basis(mat))
+            ref = _greedy_endomorphism_basis(mat)
+            assert basis.shape == ref.shape and basis.dtype == ref.dtype
+            assert _op_span(basis, p) == _op_span(ref, p)
         if not (mat.cols and mat.is_minimal):  # zero columns: unit syzygies
             continue
         assert _same(syzygy(mat).entries, _greedy_syzygy(mat).entries)
@@ -689,7 +728,7 @@ def test_one_rref_span_building_matches_greedy_add(p, seed):
         assert has_m2_column(mat) == _greedy_has_m2_column(mat)
         if mat.rows <= 2:
             for D in (mat, syzygy(mat)):
-                assert _same(_hom_matrix(cok, D), _loop_hom_matrix(cok, D))
+                assert _same(cok.hom_matrix(D), _loop_hom_matrix(cok, D))
             ext = ext1(mat, mat)
             ref = _greedy_ext1_reps(mat, mat)
             assert ext.rank == len(ref) == len(ext.representatives)
@@ -699,7 +738,7 @@ def test_one_rref_span_building_matches_greedy_add(p, seed):
                 assert _same(lift.entries, _loop_lift(ext, w))
                 assert _same(ext.class_of(lift).coords, _loop_class_coords(ext, lift))
     assert all(branches.values()), branches
-    assert _indecomposable_digest(p, seed) == _PINNED_INDECOMPOSABLE[p]
+    assert _indecomposable_digests(p, seed) == (_PINNED_VERDICTS[p], _PINNED_IDEMPOTENTS[p])
     assert _equivalent_digest(p, seed) == _PINNED_EQUIVALENT[p]
 
 
@@ -1281,9 +1320,10 @@ def _loop_radical(basis, p):
 def _q_level_is_indecomposable(M, budget=1 << 22):
     """is_indecomposable with J(E) and E/J built in q x q operator space:
     J = ker pi plus a lift of each radical element of the top algebra,
-    spanned in F_p^(q*q), and one solve per structure constant."""
+    spanned in F_p^(q*q), and one solve per structure constant.  E comes
+    from the ring-side system, not from endomorphism_space."""
     A, p = M.algebra, M.algebra.p
-    cok, basis = endomorphism_space(M)
+    cok, basis = CokernelSpace(M), _greedy_endomorphism_basis(M)
     q = cok.length
     nb = basis.shape[0]
     if nb == 1:
@@ -1355,7 +1395,7 @@ def _top_algebra_cases():
     ezd = sorted((pair.a for pair in enumerate_ezd(S2)), key=lambda g: g.order_key())
     for u in ezd:
         for t in ezd:
-            for a in superdiagonal_candidates(S2):
+            for a in superdiagonal_candidates(S2, u):
                 yield _ut2(S2, u, t, a)
     rng = np.random.default_rng(41)
     shapes = [(3, 3), (3, 2), (2, 3), (3, 1), (2, 2)]
@@ -1379,9 +1419,25 @@ def test_top_algebra_matches_q_level_quotient():
         ref_indec, ref_idem = _q_level_is_indecomposable(mat)
         assert indec == ref_indec
         assert (idem is None) == (ref_idem is None)
-        assert idem is None or _same(idem, ref_idem)
+        assert idem is None or (_is_linear_idempotent(mat, idem)
+                                and _is_linear_idempotent(mat, ref_idem))
         decomposable += not indec
     assert decomposable >= 10
+
+
+def test_every_decomposable_idempotent_is_r_linear():
+    # stage two verifies its idempotent commutes with the R-action; so
+    # must every idempotent it returns, on seeded and top-algebra cases
+    cases = [mat for p, seed in [(2, 11), (3, 12), (5, 13)] for mat in _cases(p, seed)
+             if mat.rows and mat.is_minimal]
+    decomposable = 0
+    for mat in cases + list(_top_algebra_cases()):
+        indec, idem = is_indecomposable(mat)
+        assert indec == (idem is None)
+        if idem is not None:
+            assert _is_linear_idempotent(mat, idem)
+            decomposable += 1
+    assert decomposable >= 45
 
 
 def test_is_indecomposable_budget_stop(S3):
@@ -1392,11 +1448,11 @@ def test_is_indecomposable_budget_stop(S3):
 
 def test_is_indecomposable_builds_operators_only_for_idempotents(S2, S3, monkeypatch):
     # an indecomposable module is decided from the degree-0 system alone;
-    # only a found idempotent needs the endomorphism kernel, the cokernel
-    # and its operators
+    # only a found idempotent needs End(coker M), the cokernel and its
+    # operators
     ezd = sorted((pair.a for pair in enumerate_ezd(S3)), key=lambda g: g.order_key())
     triples = [_ut2(S3, u, t, a) for u in ezd[:3] for t in ezd[:3]
-               for a in superdiagonal_candidates(S3)[:2]]
+               for a in superdiagonal_candidates(S3, u)[:2]]
     indecomposable = [M(S2, [["x", "z"], ["0", "x + y"]])]
     indecomposable += [mat for mat in triples if is_indecomposable(mat)[0]]
     decomposable = [mat for mat in triples if not is_indecomposable(mat)[0]]
@@ -1407,7 +1463,7 @@ def test_is_indecomposable_builds_operators_only_for_idempotents(S2, S3, monkeyp
 
     def refuse(*args, **kwargs):
         raise Built
-    monkeypatch.setattr(modmat, "_endomorphism_kernel", refuse)
+    monkeypatch.setattr(modmat, "endomorphism_space", refuse)
     monkeypatch.setattr(modmat, "CokernelSpace", refuse)
     monkeypatch.setattr(modmat, "linearize", refuse)
     for mat in indecomposable:
@@ -1418,23 +1474,24 @@ def test_is_indecomposable_builds_operators_only_for_idempotents(S2, S3, monkeyp
 
 @pytest.mark.parametrize("p, seed", [(2, 11), (3, 12), (5, 13)])
 def test_top_algebra_is_degree_zero_rows_of_kernel(p, seed):
-    # pi(E), read off the kernel as phi0[:, :, 0], spans the top block of
-    # the q x q operators endomorphism_space builds from the same kernel,
-    # and _top_algebra's r*r + c*c unknown degree-0 system gives a basis
-    # of it, on quadratic, non-square and c = 0 inputs alike
+    # pi(E), read off the ring-side kernel as phi0[:, :, 0], spans the
+    # top block of the q x q operators of endomorphism_space and of the
+    # ring-side oracle, and _top_algebra's r*r + c*c unknown degree-0
+    # system gives a basis of it, on quadratic, non-square and c = 0
+    # inputs alike
     checked = 0
     seen = {"quadratic": 0, "non_square": 0, "no_columns": 0}
     for mat in _cases(p, seed):
         if not (mat.rows and mat.is_minimal):
             continue
         r, d, e = mat.rows, mat.algebra.dim, mat.algebra.e
-        N = modmat._endomorphism_kernel(mat)
+        N = _ring_endomorphism_kernel(mat)
         top_rows = N[: r * r * d].reshape(r, r, d, -1)[:, :, 0]
         span = linalg.Subspace(r * r, p, top_rows.reshape(r * r, -1).T)
         cok, basis = endomorphism_space(mat)
         top = [k for k, c in enumerate(cok.coords) if c % d == 0]
-        ops_top = basis[:, top][:, :, top]
-        assert span == linalg.Subspace(r * r, p, ops_top.reshape(len(basis), r * r))
+        for ops in (basis, _greedy_endomorphism_basis(mat)):
+            assert span == _op_span(ops[:, top][:, :, top], p)
         pi_e = modmat._top_algebra(mat).reshape(-1, r * r)
         assert span == linalg.Subspace(r * r, p, pi_e) and span.dim == len(pi_e)
         checked += 1
@@ -1445,8 +1502,8 @@ def test_top_algebra_is_degree_zero_rows_of_kernel(p, seed):
 
 
 def test_is_indecomposable_linearizes_only_the_idempotents_columns(monkeypatch):
-    # stage two linearizes the phi0 of exactly mc = dim E/J kernel
-    # columns, not all of the kernel's
+    # stage one linearizes nothing; stage two linearizes M itself, once,
+    # for its CokernelSpace, and builds every operator from its action
     linearized = []
     lin = modmat.linearize
     def spy(mat):
@@ -1455,18 +1512,12 @@ def test_is_indecomposable_linearizes_only_the_idempotents_columns(monkeypatch):
     monkeypatch.setattr(modmat, "linearize", spy)
     decomposable = 0
     for mat in _top_algebra_cases():
-        p, r = mat.algebra.p, mat.rows
-        top = modmat._top_algebra(mat)
-        rad = modmat._radical_of_matrix_algebra(top, p)
-        mc = len(top) - (0 if rad is None else len(rad))
-        k = modmat._endomorphism_kernel(mat).shape[1]
         linearized.clear()
         indec, _ = is_indecomposable(mat)
-        phi0 = [m for m in linearized if m is not mat]
         if indec:
-            assert not phi0
+            assert not linearized
             continue
-        assert [m.rows for m in phi0] == [mc * r] and mc < k
+        assert len(linearized) == 1 and linearized[0] is mat
         decomposable += 1
     assert decomposable >= 10
 
