@@ -23,7 +23,7 @@ from .algebra import (
     ring_preconditions,
 )
 from .errors import BudgetExceededError, ValidationError
-from .modmat import PresentationMatrix, is_equivalent, is_indecomposable
+from .modmat import DEFAULT_BUDGET, PresentationMatrix, is_equivalent, is_indecomposable
 
 
 @dataclass
@@ -152,7 +152,7 @@ def _canonical_superdiagonal(A, a, u, t) -> RingElement:
     return best
 
 
-def classify_ut2(A: GradedLocalAlgebra, budget: int = 200_000) -> ClassTable:
+def classify_ut2(A: GradedLocalAlgebra, budget: int = DEFAULT_BUDGET) -> ClassTable:
     """Classify the 2 x 2 upper triangular totally reflexive modules.
 
     Enumeration: u, t over exact zero divisor representatives, a over

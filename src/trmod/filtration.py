@@ -5,9 +5,10 @@ the leading i x i blocks present T_1 c T_2 c ... c T_n with cyclic
 quotients R/(t_ii).  This module extracts that chain, performs the
 inverse step (peeling the last cyclic quotient off via the syzygy), and
 searches for upper triangular forms of arbitrary square matrices, one
-pair of scalar parts per pair of complete flags of F_p^n.  Only the pairs
-whose conjugated quadratic part is nonzero below the diagonal reach the
-degree-2 correction system.
+pair of scalar parts per pair of complete flags of F_p^n, up to the first
+pair whose degree-2 correction system solves.  Only the pairs whose
+conjugated quadratic part is nonzero below the diagonal reach that
+system, and each is one `linalg.solve`.
 """
 
 from __future__ import annotations
@@ -173,7 +174,7 @@ def _isolate_partner(T: PresentationMatrix, s: RingElement):
 
 # -- upper triangular form search ---------------------------------------------
 
-# flag pairs looked up, or stacked-system coefficients eliminated, at once
+# flag pairs looked up at once
 _GL_CHUNK = 1 << 16
 
 
@@ -261,32 +262,28 @@ def find_ut_form(M: PresentationMatrix, budget: int = DEFAULT_BUDGET):
     than `budget`.
 
     The UT-compatible pairs are picked out by one table lookup for a
-    block of P0 at a time, in the order P0, then Q0, of
-    `flag_representatives`, and taken a chunk of pairs at a time.  The
-    right side of a pair's system is its conjugated quadratic part below
-    the diagonal.  A zero right side has the canonical solution 0, the
-    one `linalg.solve_stack` returns with the free coordinates at 0, so
-    only the pairs with a nonzero right side reach the correction system:
-    `correction_space(M, M)` is built once per call, when the first of them
-    appears, and their systems are solved by one stacked elimination per
-    chunk.  Linear inputs, and inputs with no UT-compatible pair, never
-    build it.  A block covers at most _GL_CHUNK pairs and a chunk holds
-    at most _GL_CHUNK coefficients of the stacked systems.  The form is the
-    smallest, by RingElement.order_key entry by entry row-major, of the
-    particular solutions of the solvable flag pairs, one per pair; equal
-    candidates are equal byte for byte.  It is not in general the
-    smallest UT form of M.
+    block of at most _GL_CHUNK pairs at a time, and the first solvable
+    one in the order P0, then Q0, of `flag_representatives` gives the
+    form, whatever the block size.  The right side of a pair's system is
+    its conjugated quadratic part below the diagonal; a zero right side
+    takes the solution 0.  Only a nonzero one reaches the correction
+    system: `correction_space(M, M)` is built once per call, when the
+    first of them appears, so linear inputs and inputs with no
+    UT-compatible pair never build it.  The system is solved by
+    `linalg.solve` on the independent columns of the correction space
+    alone, scattered back into the full width: a dependent column is a
+    combination of earlier ones, so is its image under the pair's
+    conjugation, and the pivots of the RREF, hence the solution that
+    `solve` reads off, are those of the full system.
 
-    The witness is the lift of the pair that produced the form, not the
-    result of a second search.  For the pair's particular solution
-    `part`, (A, B) = `_build_correction_matrices(M, part)` has degree-1
-    entries, and since m^3 = 0, (I + A)*M*(I + B) = M + A*A1 + A1*B for
-    A1 the linear part of M, whose degree-2 parts are exactly
-    `correction_space(M, M) @ part`.  So P = P0*(I + A) and Q = (I + B)*Q0
-    carry M to P0*(M + corr @ part)*Q0, the form; EquivalenceWitness.verify
-    checks them.  Among pairs giving equal forms the earliest in the scan
-    order wins: the best so far is placed first in each stable sort, so
-    block and chunk sizes do not change the witness.
+    The witness is the lift of the winning pair, not the result of a
+    second search.  For its solution `part`, (A, B) =
+    `_build_correction_matrices(M, part)` has degree-1 entries, and
+    since m^3 = 0, (I + A)*M*(I + B) = M + A*A1 + A1*B for A1 the linear
+    part of M, whose degree-2 parts are exactly
+    `correction_space(M, M) @ part`.  So P = P0*(I + A) and
+    Q = (I + B)*Q0 carry M to P0*(M + corr @ part)*Q0, the form;
+    EquivalenceWitness.verify checks them.
     """
     A = M.algebra
     p = A.p
@@ -305,13 +302,9 @@ def find_ut_form(M: PresentationMatrix, budget: int = DEFAULT_BUDGET):
             f"UT-form search budget exceeded: {pairs} flag pairs of "
             f"{n} x {n} matrices over F_{p}", required=pairs, budget=budget)
     e, s2 = A.e, A.s2
-    # the coefficients of correction_space(M, M): r^2*e + c^2*e
-    width = 2 * n * n * e
     # the quadratic part, one row per entry (l, j) of an n x n matrix
     A2 = M.quadratic_part().reshape(n * n, s2)
     corr = None  # built once a pair's quadratic part needs a correction
-    # M's non-constant coordinates, one n x n matrix per coordinate
-    M_pos = M.entries[..., 1:].transpose(2, 0, 1)
     A1 = M.linear_part()
     P0s, Q0s = flag_representatives(n, p)
     lo_i, lo_j = _below_diagonal(n)
@@ -324,51 +317,36 @@ def find_ut_form(M: PresentationMatrix, budget: int = DEFAULT_BUDGET):
     cleared = zero[:, col_of].transpose(2, 0, 1)
     terms = np.arange(len(lo_i))
     block = max(1, _GL_CHUNK // len(Q0s))  # P0 per lookup
-    chunk = max(1, _GL_CHUNK // (len(lo_i) * s2 * width))  # pairs per elimination
-    best = None  # (form, P0, Q0, part) of the smallest form so far
     for a0 in range(0, len(P0s), block):
         pa, pq = np.nonzero(cleared[terms, row_of[a0:a0 + block]].all(axis=1))
-        for c0 in range(0, len(pa), chunk):
-            P0, Q0 = P0s[a0 + pa[c0:c0 + chunk]], Q0s[pq[c0:c0 + chunk]]
-            # K[q, t] = (row lo_i[t] of P0) x (column lo_j[t] of Q0), so the
-            # below-diagonal entry t of P0*X*Q0 is K[q, t] @ X, X read as an
+        for a, q in zip(pa, pq):
+            P0, Q0 = P0s[a0 + a], Q0s[q]
+            # K[t] = (row lo_i[t] of P0) x (column lo_j[t] of Q0), so the
+            # below-diagonal entry t of P0*X*Q0 is K[t] @ X, X read as an
             # n*n vector
-            K = (P0[:, lo_i, :, None] * Q0[:, :, lo_j].transpose(0, 2, 1)[:, :, None]
-                 ).reshape(len(P0), len(lo_i), n * n)
+            K = (P0[lo_i, :, None] * Q0[:, lo_j].T[:, None]).reshape(len(lo_i), n * n)
             # the conjugated quadratic part below the diagonal, which the
-            # conjugated correction generators must clear; a pair whose
-            # part is already zero there takes the canonical solution 0
-            rhs = -(K @ A2).reshape(len(P0), -1) % p
-            ok = np.ones(len(P0), dtype=bool)
-            part = np.zeros((len(P0), width), dtype=np.int64)
-            need = rhs.any(axis=1)
-            if need.any():
+            # conjugated correction generators must clear
+            rhs = -(K @ A2) % p
+            part = np.zeros(2 * n * n * e, dtype=np.int64)
+            if rhs.any():
                 if corr is None:
                     corr = correction_space(M, M)
-                lower = K[need] @ corr.reshape(n * n, -1)
-                ok[need], part[need] = linalg.solve_stack(
-                    lower.reshape(len(lower), -1, width), rhs[need], p)
-            P0, Q0, part = P0[ok], Q0[ok], part[ok]
-            # the form P0*(M + corr @ part)*Q0, one coordinate at a time
-            X = np.repeat(M_pos[None], len(P0), axis=0)
+                    piv = linalg.independent_columns(corr, p)
+                    # the independent generators, one row per entry (l, j)
+                    gens = corr[:, piv].reshape(n * n, s2 * len(piv))
+                x = linalg.solve((K @ gens).reshape(len(lo_i) * s2, len(piv)), rhs, p)
+                if x is None:
+                    continue
+                part[piv] = x
+            # the form P0*(M + corr @ part)*Q0
+            X = M.entries.copy()
             if corr is not None:
-                X[:, e:] += (part @ corr.T).reshape(len(P0), n, n, s2).transpose(0, 3, 1, 2)
-            ent = np.zeros((len(P0), n, n, A.dim), dtype=np.int64)
-            ent[..., 1:] = (P0[:, None] @ X @ Q0[:, None] % p).transpose(0, 2, 3, 1)
-            if best is not None:
-                ent, P0, Q0, part = (np.concatenate([b[None], x])
-                                     for b, x in zip(best, (ent, P0, Q0, part)))
-            if len(ent):
-                # RingElement.order_key compares coefficients last basis
-                # element first; lexsort's primary key is its last row
-                keys = ent[..., ::-1].reshape(len(ent), -1)
-                k = np.lexsort(keys.T[::-1])[0]
-                best = ent[k], P0[k], Q0[k], part[k]
-    if best is None:
-        return None
-    ent, P0, Q0, part = best
-    N = PresentationMatrix(A, ent)
-    return _lift_witness(M, N, P0, Q0, part), N
+                X[..., 1 + e:] += (corr @ part).reshape(n, n, s2)
+            N = PresentationMatrix(A, np.einsum("ijd,jm->imd",
+                                                np.einsum("il,ljd->ijd", P0, X), Q0))
+            return _lift_witness(M, N, P0, Q0, part), N
+    return None
 
 
 # -- the alternating two-parameter family --------------------------------------

@@ -6,9 +6,9 @@ interpreter handles faster than numpy scalars and which cannot
 overflow.  The matrices it meets are small and mostly zero, so each
 pivot step updates the other rows only at the pivot row's nonzero
 columns, all at or right of the pivot; the zeros it skips would add
-nothing, so the result is that of the dense update.  A stack of many
-small systems (`solve_stack`) is eliminated at once
-instead, one numpy step per pivot for the whole stack.
+nothing, so the result is that of the dense update.  `rref`, `rank`,
+`independent_columns`, `nullspace`, `solve` and `inv` all run that one
+loop.
 
 All subspaces are represented by their reduced row-echelon form (RREF),
 which is canonical: two generating sets span the same subspace iff their
@@ -136,78 +136,6 @@ def solve(A, b, p: int):
     x = np.zeros(n, dtype=np.int64)
     x[pivots] = R[: len(pivots), n]
     return x
-
-
-def _stack_dtype(p: int):
-    """The narrowest integer type that holds every value the stacked
-    elimination forms: entries below p and products below p^2."""
-    return np.int32 if p * p < 1 << 31 else np.int64
-
-
-def _eliminate_stack(T: np.ndarray, p: int, ncols: int):
-    """Forward Gaussian elimination mod p, in place, of the matrices
-    T[:, :, k] of an (m, w, B) array with entries in [0, p), over their
-    first `ncols` columns.
-
-    The stack is the last axis, so each operation is elementwise over
-    the whole stack.  Step r finds pivot r of every matrix at once: each
-    matrix takes the first column with a nonzero in rows r and below,
-    swaps the first such row up to row r, scales it to 1 and clears that
-    column in the rows below.  Returns (rank, pivots): the rank of each
-    matrix, and an (m, B) array of the column of each row's pivot,
-    `ncols` for the rows past the rank.  Each matrix ends in echelon
-    form, with the pivots of its RREF.
-    """
-    m, _, B = T.shape
-    # inverse[0] = 1 leaves row r as it is in a matrix with no pivot left
-    inverse = np.array([1] + [pow(a, p - 2, p) for a in range(1, p)], dtype=T.dtype)
-    rank = np.zeros(B, dtype=np.int64)
-    pivots = np.full((m, B), ncols, dtype=np.int64)
-    each = np.arange(B)
-    for r in range(min(m, ncols)):
-        nonzero = T[r:, :ncols] != 0
-        cols = nonzero.any(axis=0)
-        has = cols.any(axis=0)
-        if not has.any():
-            break
-        c = cols.argmax(axis=0)
-        below = r + nonzero[:, c, each].argmax(axis=0)
-        piv = T[below, :, each].T
-        T[below, :, each] = T[r].T
-        T[r] = piv * inverse[piv[c, each]] % p
-        f = T[r + 1:, c, each] * has
-        T[r + 1:] -= f[:, None] * T[r]
-        T[r + 1:] %= p
-        pivots[r, has] = c[has]
-        rank[has] = r + 1
-    return rank, pivots
-
-
-def solve_stack(A, b, p: int):
-    """Solve A[k] x = b[k] mod p for a (B, m, n) stack A and (B, m) b.
-
-    Returns (ok, X): ok[k] says whether system k is consistent, and then
-    X[k] is `solve(A[k], b[k], p)` byte for byte: a forward elimination
-    of [A | b] finds the same pivots as the RREF, and back-substitution
-    on the b column with the free coordinates 0 gives the one solution
-    that RREF reads off.  X[k] is 0 where ok[k] is false.
-    """
-    A = np.asarray(A, dtype=np.int64)
-    B, m, n = A.shape
-    T = np.empty((m, n + 1, B), dtype=_stack_dtype(p))
-    T[:, :n] = A.transpose(1, 2, 0) % p
-    T[:, n] = np.asarray(b, dtype=np.int64).reshape(B, m).T % p
-    rank, pivots = _eliminate_stack(T, p, n)
-    # rows past the rank are zero left of b; a nonzero b there is 0 = b_i
-    ok = ~((T[:, n] != 0) & (np.arange(m)[:, None] >= rank)).any(axis=0)
-    # row r is 1 at its pivot and 0 left of it: x[pivot] = b_r - row_r . x
-    X = np.zeros((n + 1, B), dtype=np.int64)
-    each = np.arange(B)
-    for r in range(min(m, n) - 1, -1, -1):
-        row = T[r].astype(np.int64)
-        live = rank > r
-        X[pivots[r, live], each[live]] = ((row[n] - (row[:n] * X[:n]).sum(axis=0)) % p)[live]
-    return ok, X[:n].T * ok[:, None]
 
 
 def inv(A, p: int):

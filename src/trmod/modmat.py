@@ -435,12 +435,15 @@ def prune_presentation(M: PresentationMatrix):
     summand of the cokernel.  Returns (M', free_rank) with
     coker M = coker M' + R^free_rank and M' free of both defects.
 
-    A minimal M with rank L1 = c has no such kernel vector: the degree-1
-    part of M*x is L1*x0, so x0 = 0 for every x in ker lin M.  The loop
-    then ends without computing the kernel.  The first pass works on M
-    itself, and M comes back as it is when nothing is dropped, so its
-    recorded rank L1 serves the caller's later steps too.
+    M must be minimal, and dropping rows and columns keeps it so: each
+    kernel is `graded_nullspace`'s.  With rank L1 = c there is no such
+    kernel vector: the degree-1 part of M*x is L1*x0, so x0 = 0 for
+    every x in ker lin M.  The loop then ends without computing the
+    kernel.  The first pass works on M itself, and M comes back as it is
+    when nothing is dropped, so its recorded rank L1 serves the caller's
+    later steps too.
     """
+    _require_minimal(M, "prune_presentation")
     A = M.algebra
     p = A.p
     cur = M
@@ -456,10 +459,9 @@ def prune_presentation(M: PresentationMatrix):
             continue
         if c == 0:
             break
-        if cur.is_minimal and _linear_rank(cur) == c:
+        if _linear_rank(cur) == c:
             break  # every kernel vector has zero degree-0 coordinates
-        ker = (graded_nullspace(cur) if cur.is_minimal
-               else linalg.nullspace(linearize(cur), p))
+        ker = graded_nullspace(cur)
         # units[j, t]: constant coefficient of column j in kernel vector t
         units = ker[::A.dim] % p
         hits = np.flatnonzero(units.any(axis=0))

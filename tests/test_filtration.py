@@ -225,41 +225,29 @@ def _pair_form(mat, P0, Q0):
 
 
 def _scan_pairs_reference(mat):
-    """(exists, best) from the plain double loop over (P0, Q0) in
-    GL_n x GL_n, one pair at a time.  `exists` says whether any pair
-    solves.  `best` is the UT form find_ut_form returns, and its witness,
-    over the flag pairs of `flag_representatives` alone: the smallest
-    form, compared entry by entry with RingElement.order_key, the
-    earliest pair in P0-then-Q0 order among equal forms.  The witness is
-    P0*(I + A), (I + B)*Q0 for the best pair, with A and B read from its
-    solution in the column layout of correction_space."""
+    """(exists, first) from plain loops, one pair at a time.  `exists`
+    says whether any pair (P0, Q0) of GL_n x GL_n solves.  `first` is the
+    UT form find_ut_form returns, and its witness: those of the first
+    flag pair of `flag_representatives`, in P0-then-Q0 order, whose
+    system solves over the full width of the correction space.  The
+    witness is P0*(I + A), (I + B)*Q0 for that pair, with A and B read
+    from its solution in the column layout of correction_space.  An
+    upper triangular input is its own form, with the identity witness."""
     A, p, n = mat.algebra, mat.algebra.p, mat.rows
     e = A.e
-    P0s, Q0s = filtration.flag_representatives(n, p)
-    p_index = {P0.tobytes(): k for k, P0 in enumerate(P0s)}
-    q_index = {Q0.tobytes(): k for k, Q0 in enumerate(Q0s)}
-    exists, best = False, None
-    GL = _gl(n, p)
-    for P0 in GL:
-        for Q0 in GL:
-            flag_pair = P0.tobytes() in p_index and Q0.tobytes() in q_index
-            if exists and not flag_pair:
-                continue
-            found = _pair_form(mat, P0, Q0)
-            if found is None:
-                continue
-            exists = True
-            if not flag_pair:
-                continue
-            N, part = found
-            key = (tuple(N.entry(i, j).order_key() for i in range(n) for j in range(n)),
-                   p_index[P0.tobytes()], q_index[Q0.tobytes()])
-            if best is None or key < best[0]:
-                best = (key, N, P0, Q0, part)
-    if best is None:
-        return exists, None
-    _, N, P0, Q0, part = best
     I = ring_identity(A, n)
+    if mat.is_upper_triangular:
+        return True, (mat, I, I)
+    GL = _gl(n, p)
+    exists = any(_pair_form(mat, P0, Q0) is not None for P0 in GL for Q0 in GL)
+    P0s, Q0s = filtration.flag_representatives(n, p)
+    for P0, Q0 in itertools.product(P0s, Q0s):
+        found = _pair_form(mat, P0, Q0)
+        if found is not None:
+            break
+    else:
+        return exists, None
+    N, part = found
     scalar_P0, scalar_Q0, left, right = (np.zeros_like(I) for _ in range(4))
     scalar_P0[:, :, 0], scalar_Q0[:, :, 0] = P0, Q0
     left[:, :, 1:1 + e] = part[:n * n * e].reshape(n, n, e)
@@ -321,11 +309,13 @@ def _without_ut(rng, A, n, linear=False):
 def test_find_ut_form_matches_pairwise_scan(p, n, draws):
     # against the one-pair-at-a-time loop over GL_n x GL_n: a form exists
     # iff some pair solves, and the UT form and the lift of the pair that
-    # gave it are byte for byte the best over the flag pairs, on seeded
-    # minimal inputs with random degree-2 parts, half of them disguised
-    # UT matrices, then linear inputs, whose systems all have right side 0
-    # and reach no correction system in find_ut_form; the reference still
-    # solves each pair's system over the correction space
+    # gave it are byte for byte those of the first solvable flag pair, on
+    # seeded minimal inputs with random degree-2 parts, half of them
+    # disguised UT matrices, then linear inputs, whose systems all have
+    # right side 0 and reach no correction system in find_ut_form; the
+    # reference still solves each pair's system over the full width of
+    # the correction space, where find_ut_form solves on its independent
+    # columns
     A = build_algebra(AlgebraSpec.canonical_s(p))
     rng = np.random.default_rng(100 * p + n)
     for k in range(draws + draws // 2):
@@ -360,10 +350,29 @@ def test_find_ut_form_returns_ut_input_past_the_caps(S2):
     assert filtrate_ut(find_ut_form(mb_matrix(4, x, x, y, z))[1]).lengths == [3, 6, 9, 12]
 
 
+def _solves_up_to_winner(mat, w):
+    """The UT-compatible flag pairs, in P0-then-Q0 order up to the one
+    whose scalar parts the witness w carries, whose conjugated quadratic
+    part is nonzero below the diagonal."""
+    p, n = mat.algebra.p, mat.rows
+    below = np.tril_indices(n, -1)
+    A1, A2 = mat.linear_part(), mat.quadratic_part()
+    P0s, Q0s = filtration.flag_representatives(n, p)
+    count = 0
+    for P0, Q0 in itertools.product(P0s, Q0s):
+        if (np.einsum("il,lje,jm->ime", P0, A1, Q0) % p)[below].any():
+            continue
+        count += bool((np.einsum("il,ljs,jm->ims", P0, A2, Q0) % p)[below].any())
+        if (P0 == w.P[:, :, 0]).all() and (Q0 == w.Q[:, :, 0]).all():
+            return count
+    raise AssertionError("the witness is not a flag pair")
+
+
 def test_find_ut_form_scan_makes_no_solve_call(S2, S3, monkeypatch):
-    # the scan solves every pair's system in stacked eliminations and
-    # lifts the winning pair to the witness: no linalg.solve, linalg.inv
-    # or is_equivalent call anywhere in it
+    # the scan lifts the winning pair to the witness: no linalg.inv or
+    # is_equivalent call anywhere in it.  A linear input makes no
+    # linalg.solve call; an input with degree-2 parts makes one for each
+    # UT-compatible flag pair with a nonzero right side, up to the winner
     events = []
     def spy(module, name):
         original = getattr(module, name)
@@ -374,10 +383,19 @@ def test_find_ut_form_scan_makes_no_solve_call(S2, S3, monkeypatch):
     spy(linalg, "solve")
     spy(linalg, "inv")
     spy(modmat, "is_equivalent")
+    solved = 0
     for A in (S2, S3):
         rng = np.random.default_rng(A.p)
         for n in (2, 3) if A.p == 2 else (2,):
-            assert find_ut_form(PresentationMatrix(A, _disguised_ut(rng, A, n))) is not None
+            for linear in (True, False):
+                mat = PresentationMatrix(A, _disguised_ut(rng, A, n, linear))
+                events.clear()
+                w, _ = find_ut_form(mat)
+                expected = 0 if linear else _solves_up_to_winner(mat, w)
+                assert events == ["solve"] * expected
+                solved += expected
+    assert solved
+    events.clear()
     assert find_ut_form(M(S3, [["x", "z"], ["y", "x"]])) is None
     assert events == []
     assert not hasattr(filtration, "is_equivalent")
@@ -434,8 +452,8 @@ def test_find_ut_form_witness_verifies(p, n, draws):
 
 @pytest.mark.parametrize("p, n", [(2, 2), (3, 2), (2, 3)])
 def test_find_ut_form_chunk_boundaries(p, n, monkeypatch):
-    # one P0 per block and one pair per chunk, and blocks and chunks that
-    # split GL_n and the pairs unevenly, give the default's bytes
+    # one P0 per block, and blocks that split the P0 unevenly, give the
+    # default's bytes: the first solvable pair does not depend on them
     A = build_algebra(AlgebraSpec.canonical_s(p))
     rng = np.random.default_rng(300 + 10 * p + n)
     mats = [PresentationMatrix(A, _disguised_ut(rng, A, n)) for _ in range(4)]

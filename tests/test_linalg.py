@@ -251,31 +251,40 @@ def test_independent_columns_is_greedy_add():
 
 
 @st.composite
-def _stacks(draw):
-    """(A, b, p): a (B, m, n) stack with 0..8 matrices, 0..6 rows and 0..6
-    columns, entries anywhere in [-p, 2p).  Some stacks get a last row
-    that is a multiple of the first in every matrix, so rank-deficient
-    systems, and with b left free inconsistent ones, are common."""
+def _narrowed_systems(draw):
+    """(K, C, b, p): C an m x w matrix, w = 0..6, some of whose columns
+    are combinations of the columns before them, or all zero; K a k x m
+    matrix; and b either K @ C @ y, a consistent right side, or drawn
+    freely, often an inconsistent one."""
     p = draw(st.sampled_from([2, 3, 5, 7]))
-    B, m, n = (draw(st.integers(0, k)) for k in (8, 6, 6))
-    cells = draw(st.lists(st.integers(-p, 2 * p - 1), min_size=B * m * n,
-                          max_size=B * m * n))
-    A = np.array(cells, dtype=np.int64).reshape(B, m, n)
-    if m > 1 and draw(st.booleans()):
-        A[:, -1] = A[:, 0] * draw(st.integers(0, p - 1))
-    b = np.array(draw(st.lists(st.integers(-p, 2 * p - 1), min_size=B * m,
-                               max_size=B * m)), dtype=np.int64).reshape(B, m)
-    return A, b, p
+    m, k, w = draw(st.integers(1, 6)), draw(st.integers(1, 6)), draw(st.integers(0, 6))
+    def matrix(r, c):
+        cells = draw(st.lists(st.integers(0, p - 1), min_size=r * c, max_size=r * c))
+        return np.array(cells, dtype=np.int64).reshape(r, c)
+    C = matrix(m, w)
+    if draw(st.booleans()):
+        C[:] = 0
+    for j in range(1, w):
+        if draw(st.booleans()):
+            C[:, j] = C[:, :j] @ matrix(j, 1)[:, 0] % p
+    K = matrix(k, m)
+    b = K @ C @ matrix(w, 1)[:, 0] % p if draw(st.booleans()) else matrix(k, 1)[:, 0]
+    return K, C, b, p
 
 
 @settings(max_examples=300, deadline=None)
-@given(_stacks())
-def test_solve_stack_matches_solve(case):
-    A, b, p = case
-    B, m, n = A.shape
-    ok, X = linalg.solve_stack(A, b, p)
-    assert ok.shape == (B,) and X.shape == (B, n) and X.dtype == np.int64
-    for k in range(B):
-        x = linalg.solve(A[k], b[k], p)
-        assert ok[k] == (x is not None)
-        assert X[k].tobytes() == (np.zeros(n, dtype=np.int64) if x is None else x).tobytes()
+@given(_narrowed_systems())
+def test_solve_on_independent_columns_matches_full_width(case):
+    # a dependent column of C is a combination of earlier ones, so is its
+    # image under K, and the pivots of K @ C all lie in C's independent
+    # columns: solving on those alone and scattering the solution back
+    # gives the full-width solution byte for byte, or None with it
+    K, C, b, p = case
+    piv = linalg.independent_columns(C, p)
+    full = linalg.solve(K @ C, b, p)
+    x = linalg.solve((K @ C[:, piv]).reshape(len(K), len(piv)), b, p)
+    assert (x is None) == (full is None)
+    if x is not None:
+        scattered = np.zeros(C.shape[1], dtype=np.int64)
+        scattered[piv] = x
+        assert scattered.tobytes() == full.tobytes()
