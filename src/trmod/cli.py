@@ -25,7 +25,7 @@ from .algebra import (
 )
 from .classify import classify_ut2, enumerate_cyclic_tr, swap_isomorphism_check
 from .errors import BudgetExceededError, ParseError, TrmodError, ValidationError
-from .ext import _cyclic_generator, _gamma_count, ext1, pushout_middle
+from .ext import ext1, gamma, pushout_middle
 from .filtration import filtrate_ut, find_ut_form, mb_matrix, mb_preconditions
 from .modmat import (
     DEFAULT_BUDGET,
@@ -150,7 +150,7 @@ def _cmd_ext(args, A):
         ],
     }
     try:
-        payload["gamma"] = _gamma_count(space, _cyclic_generator(N), _cyclic_generator(M))
+        payload["gamma"] = gamma(N, M)
     except ValidationError:
         payload["gamma"] = None
     return payload, EXIT_OK

@@ -4,7 +4,8 @@ Hom(R^n, coker M) is modeled by the CokernelSpace coordinates, so the
 Hom complex of a minimal resolution becomes a pair of block matrices
 whose blocks are induced multiplication operators.  Ext^1 is then
 ker / im of those two matrices, with coset representatives kept both as
-coordinate vectors and as ring-element lifts.
+coordinate vectors and as ring-element lifts.  `gamma` builds none
+of this: on cyclic modules it needs three ideal ranks in R.
 """
 
 from __future__ import annotations
@@ -124,34 +125,10 @@ def ext1_rank_formula(p: int, b: int, c: int, d: int, f: int) -> int:
 
 
 def _cyclic_generator(M: PresentationMatrix) -> RingElement:
-    if M.rows != 1 or M.cols != 1:
-        raise ValidationError("non-cyclic or non-EZD input")
-    g = M.entry(0, 0)
-    if not is_exact_zero_divisor(M.algebra, g):
+    g = M.entry(0, 0) if (M.rows, M.cols) == (1, 1) else None
+    if g is None or not is_exact_zero_divisor(M.algebra, g):
         raise ValidationError("non-cyclic or non-EZD input")
     return g
-
-
-def _unit_class_span_dim(ext: ExtSpace) -> int:
-    """Dimension contributed to Ext^1 by the resolution-segment class.
-
-    Every unit lift is scalar * (1 + m), and [1 + m] = [1] + [m] with [m]
-    a non-unit class, so the unit-lift phenomenon is carried by the
-    single class of 1.  That class is the splice of the complete
-    resolution (its pushout has free middle term); it counts when it is
-    a cocycle and not a coboundary.
-
-    On gamma's inputs it is never a coboundary, so only the cocycle law
-    is tested.  There N = (u) is cyclic with u in m, so H1 is
-    multiplication by u on coker M and its image lies in m*coker M.
-    M is minimal, so im(lin M) lies in m*R^r and the degree-0
-    coordinate of R^1 is a cokernel coordinate that projection leaves
-    as it is: 0 on all of m*coker M, 1 on the class of 1.
-    """
-    A = ext.M.algebra
-    one = np.zeros(A.dim, dtype=np.int64)
-    one[0] = 1
-    return int(ext.is_cocycle(ext.cok.project(one)))
 
 
 def _xyz_coeffs(A: GradedLocalAlgebra, g: RingElement):
@@ -178,22 +155,34 @@ def _canonical_mult_table(p: int) -> np.ndarray:
 def gamma(N: PresentationMatrix, T1: PresentationMatrix) -> int:
     """Extension count that excludes resolution segments.
 
-    rank Ext^1(N, T1) minus the dimension of the unit-lift class span;
-    cross-checked against the closed form (2 when b=c=d=f=0 or b=d,c=f,
+    rank Ext^1(N, T1) minus the dimension of the unit-lift class span,
+    for N = (u), T1 = (v) with u, v exact zero divisors.  Every unit
+    lift is scalar * (1 + m), and [1 + m] = [1] + [m] with [m] a
+    non-unit class, so the unit-lift span is that of the class of 1,
+    the splice of the complete resolution (its pushout has free middle
+    term); it counts when it is a cocycle and not a coboundary.
+
+    R/(u) has the 2-periodic resolution R --u'--> R --u--> R, u' the
+    partner of u, so with C = R/(v), Ext^1 = ker(u' on C) / im(u on C),
+    and w acts on C with rank dim((w) + (v)) - dim(v): three ranks of
+    stacked multiplication operators in R, with no Ext space built.  The
+    class of 1 is a cocycle iff u' lies in (v), and never a coboundary:
+    u*C lies in m*C, and 1 does not, as v lies in m.
+
+    Cross-checked against the closed form (2 when b=c=d=f=0 or b=d,c=f,
     else 1) whenever char != 2, the ring has the multiplication table of
     the canonical S = k[x,y,z]/(x^2, y^2, z^2, yz) (variables may be
     renamed) and the inputs match that normal form.
     """
-    u = _cyclic_generator(N)
-    v = _cyclic_generator(T1)
-    return _gamma_count(ext1(N, T1), u, v)
-
-
-def _gamma_count(ext: ExtSpace, u: RingElement, v: RingElement) -> int:
-    """`gamma` of the cyclic generators u of N and v of T1, from an
-    Ext^1(N, T1) already computed."""
+    u, v = _cyclic_generator(N), _cyclic_generator(T1)
     A = u.algebra
-    value = ext.rank - _unit_class_span_dim(ext)
+    if T1.algebra is not A and T1.algebra.p != A.p:
+        raise ValidationError("mixed algebras")
+    mv = A.mult_op(v.coeffs)
+    dim_v, dim_uv, dim_pv = (  # dim(v), dim((u) + (v)), dim((u') + (v))
+        linalg.rank(np.concatenate([mv] + [A.mult_op(w.coeffs) for w in ws], axis=1), A.p)
+        for ws in ((), (u,), (exact_zero_divisor_partner(A, u),)))
+    value = A.dim + dim_v - dim_uv - dim_pv - int(dim_pv == dim_v)
     if A.p != 2 and np.array_equal(A.mult_table, _canonical_mult_table(A.p)):
         df = _xyz_coeffs(A, u)
         bc = _xyz_coeffs(A, v)

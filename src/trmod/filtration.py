@@ -22,7 +22,6 @@ import numpy as np
 
 from . import linalg
 from .algebra import (
-    GradedLocalAlgebra,
     RingElement,
     annihilator,
     exact_zero_divisor_partner,
@@ -335,6 +334,8 @@ def find_ut_form(M: PresentationMatrix, budget: int = DEFAULT_BUDGET):
                     piv = linalg.independent_columns(corr, p)
                     # the independent generators, one row per entry (l, j)
                     gens = corr[:, piv].reshape(n * n, s2 * len(piv))
+                if not piv:  # no correction clears a nonzero right side
+                    continue
                 x = linalg.solve((K @ gens).reshape(len(lo_i) * s2, len(piv)), rhs, p)
                 if x is None:
                     continue

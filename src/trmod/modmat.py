@@ -31,13 +31,13 @@ kernel vector has zero degree-0 coordinates, so no column is redundant.
 
 Each matrix records the ranks of its blocks in three int slots, so a
 differential is eliminated once of each kind however many callers ask:
-rank L1 from `_linear_rank` (or, for a syzygy built from ker Lam, from
-that kernel's dimension), rank Lam from `_lam_kernel` or `graded_rank`,
-and rank lin(M^T) from `totref._dual_rank`.  `is_minimal` likewise
-scans the constant coefficients once, on its first ask.  The entries
-are read-only, so a record cannot go stale; kernels, syzygies and
-cokernel models are never stored, and a matrix made afresh, even with
-equal entries, starts with empty records.
+rank L1 from `_linear_rank` (or, for a syzygy, from dim ker Lam or the
+exact zero divisor pair), rank Lam from `_lam_kernel`, `graded_rank` or
+that pair, and rank lin(M^T) from `totref._dual_rank`.  `is_minimal`
+likewise scans the constant coefficients once, on its first ask.  The
+entries are read-only, so a record cannot go stale; kernels, syzygies
+and cokernel models are never stored, and a matrix made afresh, even
+with equal entries, starts with empty records.
 
 Endomorphisms of coker M are pairs (phi0, phi1) with phi0*M = M*phi1,
 and the grading splits this system too: the degree-0 parts (P0, Q0)
@@ -61,7 +61,7 @@ import itertools
 import numpy as np
 
 from . import linalg
-from .algebra import GradedLocalAlgebra, RingElement
+from .algebra import GradedLocalAlgebra, RingElement, exact_zero_divisor_partner
 from .errors import BudgetExceededError, ValidationError
 
 DEFAULT_BUDGET = 2_000_000
@@ -501,6 +501,12 @@ def syzygy(M: PresentationMatrix) -> PresentationMatrix:
     elimination of R_1*K finds them.  Only Lam and the (e*k) x (c*s2)
     block R_1*K are eliminated, never [Lam 0] or the generator
     selection in R^c.
+
+    A 1 x 1 (u) with u an exact zero divisor is not eliminated: ker =
+    (u') = k*u' + m^2, whose one generator with no degree-2 part and
+    first nonzero coordinate 1 is both the kept column of K and the
+    cached partner u' (`exact_zero_divisor_partner`).  (u) gets the
+    records the elimination leaves, rank L1 = 1 and rank Lam = e - 1.
     """
     _require_minimal(M, "syzygy")
     A = M.algebra
@@ -508,6 +514,13 @@ def syzygy(M: PresentationMatrix) -> PresentationMatrix:
     c = M.cols
     if c == 0:
         return PresentationMatrix.zeros(A, 0, 0)
+    if M.rows == c == 1 and M.entries.any():
+        partner = exact_zero_divisor_partner(A, M.entry(0, 0))
+        if partner is not None:
+            M.rank_l1, M.rank_lam = 1, e - 1
+            out = PresentationMatrix(A, partner.coeffs.reshape(1, 1, d))
+            out.rank_l1 = 1
+            return out
     rank_l1 = None
     if _linear_rank(M) == c:
         K = _lam_kernel(M)

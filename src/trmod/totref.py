@@ -25,9 +25,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 
-import numpy as np
-
-from .algebra import GradedLocalAlgebra, is_exact_zero_divisor, exact_zero_divisor_partner
+from .algebra import exact_zero_divisor_partner
 from .errors import BudgetExceededError, ValidationError
 from .modmat import (
     PresentationMatrix,
@@ -294,12 +292,8 @@ def check_ut_tr(M: PresentationMatrix):
     verdict = True
     for i in range(M.rows):
         t = M.entry(i, i)
-        if not t:
-            partner = None
-            ok = False
-        else:
-            partner = exact_zero_divisor_partner(A, t)
-            ok = partner is not None
+        partner = exact_zero_divisor_partner(A, t) if t else None
+        ok = partner is not None
         evidence.append(
             {
                 "index": i,

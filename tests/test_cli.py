@@ -155,7 +155,7 @@ def test_ext_with_gamma(capsys, matrix_file):
 
 
 def test_ext_computes_ext1_once(capsys, matrix_file, monkeypatch):
-    # gamma's count reads the Ext space the command already has
+    # the command computes Ext^1 once; gamma builds no Ext space
     from trmod import cli, ext
     calls = []
     ext1 = ext.ext1

@@ -3,7 +3,7 @@ import itertools
 import numpy as np
 import pytest
 
-from trmod.algebra import AlgebraSpec, build_algebra
+from trmod.algebra import AlgebraSpec, RingElement, build_algebra, is_exact_zero_divisor
 from trmod.errors import ValidationError
 from trmod.ext import (
     ext1,
@@ -89,6 +89,41 @@ def test_gamma_unit_class_criterion_exhaustive_f3(S3):
         rank = ext1(cyc(S3, d, f), cyc(S3, b, c)).rank
         drop = 1 if (b == (-d) % 3 and c == (-f) % 3) else 0
         assert gamma(cyc(S3, d, f), cyc(S3, b, c)) == rank - drop, (b, c, d, f)
+
+
+_T4 = ["x^2", "y^2", "z^2", "w^2", "y*z", "y*w", "z*w"]
+
+
+@pytest.mark.parametrize("spec", [
+    AlgebraSpec.canonical_s(2),
+    AlgebraSpec.canonical_s(3),
+    AlgebraSpec.canonical_s(5),
+    AlgebraSpec(3, ["x", "a", "b"], ["x^2", "a^2", "b^2", "a*b"]),
+    AlgebraSpec(2, ["x", "y", "z", "w"], _T4),
+    AlgebraSpec(3, ["x", "y", "z", "w"], _T4),
+], ids=["S:2", "S:3", "S:5", "S:3 in x, a, b", "T_4 over F_2", "T_4 over F_3"])
+def test_gamma_matches_ext1_less_the_class_of_one(spec):
+    # gamma reads three ideal ranks; ext1 builds the Hom complex, and
+    # the class of 1 counts when it is a cocycle there, which both ways
+    # occur.  Over F_2 the closed form is not checked, so this is
+    # gamma's only reference
+    A = build_algebra(spec)
+    rng = np.random.default_rng(40 + A.p * A.e)
+    one = np.zeros(A.dim, dtype=np.int64)
+    one[0] = 1
+    gens = []
+    while len(gens) < 400:
+        coeffs = rng.integers(0, A.p, A.dim)
+        coeffs[0] = 0
+        if is_exact_zero_divisor(A, u := RingElement(A, coeffs)):
+            gens.append(PresentationMatrix(A, u.coeffs.reshape(1, 1, A.dim)))
+    cocycles = set()
+    for N, T1 in zip(gens[::2], gens[1::2]):
+        ext = ext1(N, T1)
+        cocycle = ext.is_cocycle(ext.cok.project(one))
+        assert gamma(N, T1) == ext.rank - int(cocycle)
+        cocycles.add(cocycle)
+    assert cocycles == {False, True}
 
 
 @pytest.mark.parametrize("p", [3, 5])

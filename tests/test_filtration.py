@@ -401,6 +401,38 @@ def test_find_ut_form_scan_makes_no_solve_call(S2, S3, monkeypatch):
     assert not hasattr(filtration, "is_equivalent")
 
 
+def test_find_ut_form_skips_pairs_a_zero_correction_space_cannot_solve(S2, S3, monkeypatch):
+    # with linear part zero every flag pair is UT-compatible and the
+    # correction space is 0, so a pair with a nonzero right side has no
+    # solution and is skipped without a linalg.solve call.  The result is
+    # still that of the reference scan, which solves every pair
+    solves = []
+    solve = linalg.solve
+    monkeypatch.setattr(linalg, "solve", lambda *args: solves.append(1) or solve(*args))
+    found = 0
+    for A in (S2, S3):
+        rng = np.random.default_rng(600 + A.p)
+        for _ in range(8):
+            ent = np.zeros((2, 2, A.dim), dtype=np.int64)
+            ent[:, :, 1 + A.e:] = rng.integers(0, A.p, (2, 2, A.s2))
+            mat = PresentationMatrix(A, ent)
+            _, ref = _scan_pairs_reference(mat)
+            solves.clear()
+            got = find_ut_form(mat)
+            assert solves == [] and (got is None) == (ref is None)
+            if ref is not None:
+                (w, ut), (ref_ut, ref_P, ref_Q) = got, ref
+                assert ut.entries.tobytes() == ref_ut.entries.tobytes()
+                assert w.P.tobytes() == ref_P.tobytes() and w.Q.tobytes() == ref_Q.tobytes()
+                found += 1
+    assert 0 < found < 16
+    # 99,225 flag pairs over S:2, none of them solvable
+    ent = np.zeros((4, 4, S2.dim), dtype=np.int64)
+    ent[:, :, 1 + S2.e:] = np.random.default_rng(0).integers(0, 2, (4, 4, 2))
+    assert find_ut_form(PresentationMatrix(S2, ent)) is None
+    assert solves == []
+
+
 def test_find_ut_form_builds_correction_space_only_when_needed(S2, S3, monkeypatch):
     # the correction system is built once per call, and only when some
     # UT-compatible pair has a nonzero quadratic part below the diagonal

@@ -8,7 +8,13 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from trmod import filtration, modmat
-from trmod.algebra import AlgebraSpec, RingElement, build_algebra
+from trmod.algebra import (
+    AlgebraSpec,
+    RingElement,
+    build_algebra,
+    exact_zero_divisor_partner,
+    is_exact_zero_divisor,
+)
 from trmod.classify import _ut2, enumerate_ezd, superdiagonal_candidates
 from trmod.errors import BudgetExceededError, ValidationError
 from trmod.modmat import (
@@ -1235,6 +1241,54 @@ def test_recorded_ranks_match_a_fresh_elimination(mat):
     with pytest.raises(ValueError):
         mat.entries[...] = 0
     assert PresentationMatrix(A, mat.entries) == mat  # from a read-only array
+
+
+_T4 = ["x^2", "y^2", "z^2", "w^2", "y*z", "y*w", "z*w"]
+_EZD_SYZYGY_RINGS = {
+    "S:2": AlgebraSpec.canonical_s(2),
+    "S:3": AlgebraSpec.canonical_s(3),
+    "S:5": AlgebraSpec.canonical_s(5),
+    "S:3 in x, a, b": AlgebraSpec(3, ["x", "a", "b"], ["x^2", "a^2", "b^2", "a*b"]),
+    "T_4 over F_2": AlgebraSpec(2, ["x", "y", "z", "w"], _T4),
+    "T_4 over F_3": AlgebraSpec(3, ["x", "y", "z", "w"], _T4),
+}
+
+
+def _exact_zero_divisors(A, name):
+    """Every exact zero divisor of S:p; 300 seeded ones of the others."""
+    if name in ("S:2", "S:3", "S:5"):
+        return [a for a in A.all_elements() if is_exact_zero_divisor(A, a)]
+    rng = np.random.default_rng(len(name) * A.p)
+    found = []
+    while len(found) < 300:
+        coeffs = rng.integers(0, A.p, A.dim)
+        coeffs[0] = 0
+        if is_exact_zero_divisor(A, a := RingElement(A, coeffs)):
+            found.append(a)
+    return found
+
+
+@pytest.mark.parametrize("name", sorted(_EZD_SYZYGY_RINGS))
+def test_syzygy_of_an_exact_zero_divisor_is_its_partner(name, monkeypatch):
+    # (0:u) = (u') for an exact zero divisor u: the syzygy of (u) is the
+    # cached partner, with no elimination, byte for byte what the general
+    # elimination gives, and it leaves the ranks a fresh elimination gets
+    A = build_algebra(_EZD_SYZYGY_RINGS[name])
+    ezds = _exact_zero_divisors(A, name)
+    assert name != "S:5" or len(ezds) == 2500  # 16 over S:2, 162 over S:3
+    for u in ezds:
+        mat = PresentationMatrix(A, u.coeffs.reshape(1, 1, A.dim))
+        ref = _greedy_syzygy(mat)
+        with monkeypatch.context() as m:  # neither branch of the elimination
+            for helper in ("_lam_kernel", "graded_nullspace"):
+                m.setattr(modmat, helper, None)
+            syz = syzygy(mat)
+        assert _same(syz.entries, ref.entries)
+        assert _same(syz.entries[0, 0], exact_zero_divisor_partner(A, u).coeffs)
+        fresh = PresentationMatrix(A, mat.entries.copy())
+        assert mat.rank_l1 == modmat._linear_rank(fresh) == 1
+        assert mat.rank_lam == linalg.rank(modmat._lam(fresh), A.p) == A.e - 1
+        assert syz.rank_l1 == modmat._linear_rank(PresentationMatrix(A, syz.entries.copy()))
 
 
 @pytest.mark.parametrize("helper", [graded_rank, graded_nullspace])
