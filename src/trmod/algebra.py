@@ -52,7 +52,6 @@ class GradedLocalAlgebra:
             np.einsum("ijk->ikj", mult_table)
         )  # L[i][k, j] = C[i, j, k]
         self._partner_cache: dict[tuple, "RingElement | None"] = {}  # by point
-        self._ann_cache: dict[bytes, tuple] = {}
 
     # -- element constructors -------------------------------------------------
 
@@ -138,6 +137,12 @@ class GradedLocalAlgebra:
         return f"GradedLocalAlgebra(F_{self.p}[{', '.join(self.variables)}]/({rels}), dim={self.dim})"
 
 
+def same_algebra(A: GradedLocalAlgebra, B: GradedLocalAlgebra) -> bool:
+    """Whether A and B are one ring: the same object, or built from
+    equal specs."""
+    return A is B or A.spec == B.spec
+
+
 class RingElement:
     """Coefficient vector over the algebra basis."""
 
@@ -148,7 +153,7 @@ class RingElement:
         self.coeffs = coeffs
 
     def _check(self, other):
-        if other.algebra is not self.algebra and other.algebra.spec != self.algebra.spec:
+        if not same_algebra(self.algebra, other.algebra):
             raise ValidationError("elements live in different algebras")
 
     def __add__(self, other):
@@ -456,22 +461,12 @@ def annihilator(A: GradedLocalAlgebra, a: RingElement):
     Returns (subspace, generators, flagged_zero): for a = 0 the
     annihilator is all of A and flagged_zero is True.
     """
-    key = a.coeffs.tobytes()
-    cached = A._ann_cache.get(key)
-    if cached is not None:
-        return cached
     if not a:
         full = linalg.Subspace(A.dim, A.p, np.eye(A.dim, dtype=np.int64))
-        result = (full, [A.one()], True)
-        A._ann_cache[key] = result
-        return result
-    op = A.mult_op(a.coeffs)
-    N = linalg.nullspace(op, A.p)
+        return full, [A.one()], True
+    N = linalg.nullspace(A.mult_op(a.coeffs), A.p)
     sub = linalg.Subspace(A.dim, A.p, N.T)
-    gens = _minimal_ideal_generators(A, sub)
-    result = (sub, gens, False)
-    A._ann_cache[key] = result
-    return result
+    return sub, _minimal_ideal_generators(A, sub), False
 
 
 def _minimal_ideal_generators(A: GradedLocalAlgebra, I: linalg.Subspace):
@@ -491,6 +486,8 @@ def exact_zero_divisor_partner(A: GradedLocalAlgebra, a: RingElement):
     (0:a) = (0:l) and (a) = k*a + l*m, of the length of (l), while
     (a) and (l) both lie in (0:b).  A nonzero a in m^2 has (0:a) = m,
     which needs e >= 2 generators, so it is never an exact zero divisor.
+    The two equalities that make b the partner of l make l the partner
+    of b, so b's point is filled with l in the same call.
     """
     if a.is_unit:
         raise ValidationError("unit is not a zero divisor")
@@ -513,6 +510,7 @@ def exact_zero_divisor_partner(A: GradedLocalAlgebra, a: RingElement):
         ann_b, _, _ = annihilator(A, b)
         if ann_b == ideal_span(A, ell):
             result = b
+            A._partner_cache[tuple(b.coeffs[1 : 1 + A.e].tolist())] = ell
     A._partner_cache[point] = result
     return result
 

@@ -5,7 +5,7 @@ Hom complex of a minimal resolution becomes a pair of block matrices
 whose blocks are induced multiplication operators.  Ext^1 is then
 ker / im of those two matrices, with coset representatives kept both as
 coordinate vectors and as ring-element lifts.  `gamma` builds none
-of this: on cyclic modules it needs three ideal ranks in R.
+of this: on cyclic modules it compares two linear parts.
 """
 
 from __future__ import annotations
@@ -25,6 +25,7 @@ from .algebra import (
     exact_zero_divisor_partner,
     ideal_span,
     is_exact_zero_divisor,
+    same_algebra,
 )
 from .errors import ValidationError
 from .modmat import (
@@ -91,7 +92,7 @@ def ext1(N: PresentationMatrix, M: PresentationMatrix) -> ExtSpace:
     """Ext^1(coker N, coker M) from the first two resolution differentials."""
     if not N.is_minimal:
         raise ValidationError("N must be a minimal presentation")
-    if N.algebra is not M.algebra and N.algebra.p != M.algebra.p:
+    if not same_algebra(N.algebra, M.algebra):
         raise ValidationError("mixed algebras")
     p = M.algebra.p
     cok = CokernelSpace(M)
@@ -152,6 +153,12 @@ def _canonical_mult_table(p: int) -> np.ndarray:
     return table
 
 
+def _point_rank(w: RingElement, v: RingElement) -> int:
+    """r(w): the rank, 1 or 2, of the nonzero linear parts of w and v."""
+    a, b = w.degree_one_part(), v.degree_one_part()
+    return 2 if ((np.outer(a, b) - np.outer(b, a)) % w.algebra.p).any() else 1
+
+
 def gamma(N: PresentationMatrix, T1: PresentationMatrix) -> int:
     """Extension count that excludes resolution segments.
 
@@ -163,11 +170,15 @@ def gamma(N: PresentationMatrix, T1: PresentationMatrix) -> int:
     term); it counts when it is a cocycle and not a coboundary.
 
     R/(u) has the 2-periodic resolution R --u'--> R --u--> R, u' the
-    partner of u, so with C = R/(v), Ext^1 = ker(u' on C) / im(u on C),
-    and w acts on C with rank dim((w) + (v)) - dim(v): three ranks of
-    stacked multiplication operators in R, with no Ext space built.  The
-    class of 1 is a cocycle iff u' lies in (v), and never a coboundary:
-    u*C lies in m*C, and 1 does not, as v lies in m.
+    partner of u, so with C = R/(v), Ext^1 = ker(u' on C) / im(u on C).
+    An exact zero divisor v has (v) = k*v + m^2, so s2 = e - 1 and
+    dim R = 2e, and (w) + (v) = k*w + k*v + m^2.  Writing r(w) = 1 when
+    w and v have the same linear point and 2 otherwise, w acts on C,
+    of length e, with rank r(w) - 1, and
+    rank Ext^1 = e + 2 - r(u) - r(u').  The class of 1 is a cocycle iff
+    u' lies in (v), iff r(u') = 1, and never a coboundary: u*C lies in
+    m*C, and 1 does not, as v lies in m.  So gamma is two comparisons of
+    linear parts, for every ring and every p.
 
     Cross-checked against the closed form (2 when b=c=d=f=0 or b=d,c=f,
     else 1) whenever char != 2, the ring has the multiplication table of
@@ -176,13 +187,10 @@ def gamma(N: PresentationMatrix, T1: PresentationMatrix) -> int:
     """
     u, v = _cyclic_generator(N), _cyclic_generator(T1)
     A = u.algebra
-    if T1.algebra is not A and T1.algebra.p != A.p:
+    if not same_algebra(A, T1.algebra):
         raise ValidationError("mixed algebras")
-    mv = A.mult_op(v.coeffs)
-    dim_v, dim_uv, dim_pv = (  # dim(v), dim((u) + (v)), dim((u') + (v))
-        linalg.rank(np.concatenate([mv] + [A.mult_op(w.coeffs) for w in ws], axis=1), A.p)
-        for ws in ((), (u,), (exact_zero_divisor_partner(A, u),)))
-    value = A.dim + dim_v - dim_uv - dim_pv - int(dim_pv == dim_v)
+    r_u, r_partner = (_point_rank(w, v) for w in (u, exact_zero_divisor_partner(A, u)))
+    value = A.e + 2 - r_u - r_partner - int(r_partner == 1)
     if A.p != 2 and np.array_equal(A.mult_table, _canonical_mult_table(A.p)):
         df = _xyz_coeffs(A, u)
         bc = _xyz_coeffs(A, v)
@@ -205,11 +213,13 @@ def pushout_middle(u: RingElement, v: RingElement, alpha) -> PresentationMatrix:
     """
     A = u.algebra
     if isinstance(alpha, ExtensionClass):
-        tilde = RingElement(A, alpha.lifted.entries[0, 0].copy())
+        tilde = RingElement(alpha.lifted.algebra, alpha.lifted.entries[0, 0].copy())
     elif isinstance(alpha, RingElement):
         tilde = alpha
     else:
         tilde = A.element(alpha)
+    if not all(same_algebra(A, w.algebra) for w in (v, tilde)):
+        raise ValidationError("mixed algebras")
     u_partner = exact_zero_divisor_partner(A, u)
     v_partner = exact_zero_divisor_partner(A, v)
     if u_partner is None or v_partner is None:

@@ -3,12 +3,12 @@
 An upper triangular presentation matrix encodes a chain of submodules:
 the leading i x i blocks present T_1 c T_2 c ... c T_n with cyclic
 quotients R/(t_ii).  This module extracts that chain, performs the
-inverse step (peeling the last cyclic quotient off via the syzygy), and
-searches for upper triangular forms of arbitrary square matrices, one
-pair of scalar parts per pair of complete flags of F_p^n, up to the first
-pair whose degree-2 correction system solves.  Only the pairs whose
-conjugated quadratic part is nonzero below the diagonal reach that
-system, and each is one `linalg.solve`.
+inverse step (peeling the last cyclic quotient off, certified by length
+additivity), and searches for upper triangular forms of arbitrary square
+matrices, one pair of scalar parts per pair of complete flags of F_p^n,
+up to the first pair whose degree-2 correction system solves.  Only the
+pairs whose conjugated quadratic part is nonzero below the diagonal
+reach that system, and each is one `linalg.solve`.
 """
 
 from __future__ import annotations
@@ -37,9 +37,7 @@ from .modmat import (
     PresentationMatrix,
     coker_length,
     correction_space,
-    divide,
     ring_identity,
-    syzygy,
 )
 
 
@@ -112,10 +110,16 @@ def filtrate_ut(M: PresentationMatrix) -> Filtration:
 def submodule_step(T: PresentationMatrix):
     """Peel the last cyclic layer off a presentation with last row (0,..,0,t).
 
-    The syzygy of T is column-reduced until its last row is (0,..,0,s)
-    with s the partner of t; that reduction is the certificate that
-    deleting row and column n of T presents a submodule U with
-    T/U = R/(t) and length(U) = length(T) - e.  Returns (U matrix, t).
+    Deleting row and column n of T presents a submodule U with
+    T/U = R/(t) exactly when length(U) = length(T) - e, and that length
+    test is the whole certificate.  Write c for the column above t and s
+    for the partner of t, so (0:t) = (s) = k*s + m^2.  coker T maps onto
+    R/(t), of length e, with kernel the image of coker U, so the layer
+    is exact iff the lengths add, iff coker U -> coker T is injective.
+    A relation of T has last coordinate r with r*t = 0, so r lies in
+    (s), and c*m^2 = 0 as c lies in m; so injectivity holds iff s*c
+    lies in im U, iff T has a syzygy whose last entry is a unit times s.
+    Returns (U matrix, t).
     """
     A = T.algebra
     n = T.rows
@@ -126,13 +130,10 @@ def submodule_step(T: PresentationMatrix):
     if T.entries[n - 1, :n - 1].any():
         raise ValidationError("last row must be (0, ..., 0, t)")
     t = T.entry(n - 1, n - 1)
-    s = exact_zero_divisor_partner(A, t)
-    if s is None:
+    if exact_zero_divisor_partner(A, t) is None:
         raise ValidationError(
             f"last diagonal entry {t!r} is not an exact zero divisor"
         )
-    if n > 1:
-        _isolate_partner(T, s)
     U = PresentationMatrix(A, np.ascontiguousarray(T.entries[:n - 1, :n - 1]))
     lt, lu = coker_length(T), coker_length(U)
     if lu != lt - A.e:
@@ -140,35 +141,6 @@ def submodule_step(T: PresentationMatrix):
             f"length only dropped from {lt} to {lu}; submodule step failed"
         )
     return U, t
-
-
-def _isolate_partner(T: PresentationMatrix, s: RingElement):
-    """Column-reduce syzygy(T) so its last row becomes (0, ..., 0, s)."""
-    A = T.algebra
-    W = syzygy(T)
-    n = W.rows
-    last = [W.entries[n - 1, j] for j in range(W.cols)]
-    pivot = None
-    for j, w in enumerate(last):
-        if not w.any():
-            continue
-        r = divide(A, w, s.coeffs)
-        if r is not None and r[0] % A.p:  # unit multiple of s
-            pivot = j
-            break
-    if pivot is None:
-        raise ValidationError(
-            "cannot isolate the partner in the last syzygy row; "
-            "input is not a totally reflexive presentation of the stated shape"
-        )
-    for j, w in enumerate(last):
-        if j == pivot or not w.any():
-            continue
-        if divide(A, w, last[pivot]) is None:
-            raise ValidationError(
-                "cannot isolate the partner in the last syzygy row; "
-                "input is not a totally reflexive presentation of the stated shape"
-            )
 
 
 # -- upper triangular form search ---------------------------------------------

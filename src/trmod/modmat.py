@@ -61,7 +61,7 @@ import itertools
 import numpy as np
 
 from . import linalg
-from .algebra import GradedLocalAlgebra, RingElement, exact_zero_divisor_partner
+from .algebra import GradedLocalAlgebra, RingElement, exact_zero_divisor_partner, same_algebra
 from .errors import BudgetExceededError, ValidationError
 
 DEFAULT_BUDGET = 2_000_000
@@ -791,7 +791,7 @@ def is_equivalent(
     error.  Raises BudgetExceededError before the sweep when the kernel
     has more than `budget` elements.
     """
-    if M1.algebra is not M2.algebra and M1.algebra.spec != M2.algebra.spec:
+    if not same_algebra(M1.algebra, M2.algebra):
         raise ValidationError("matrices over different algebras")
     alg = M1.algebra
     if not (M1.is_minimal and M2.is_minimal):

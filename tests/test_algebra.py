@@ -224,10 +224,22 @@ def _partner_by_definition(A, a):
     return b if annihilator(A, b)[0] == ideal_span(A, a) else None
 
 
-@pytest.mark.parametrize("name", ["S:2", "S:3", "F_3[x,y]/(x^2,y^2)"])
-def test_partner_depends_only_on_the_linear_point(name):
+@pytest.mark.parametrize("name, order", [
+    # the forward order keeps the bare ring name as its id
+    pytest.param(name, order, id=name if order == "forward" else f"{name}-{order}")
+    for name in ["S:2", "S:3", "F_3[x,y]/(x^2,y^2)"]
+    for order in ["forward", "reverse", "shuffled"]
+])
+def test_partner_depends_only_on_the_linear_point(name, order):
+    # each verified partner also fills its own point's entry, so the
+    # cache must agree with the definition whichever point comes first
     A = build_algebra(_EZD_RINGS[name])
-    for a in A.all_elements():
+    elements = list(A.all_elements())
+    if order == "reverse":
+        elements.reverse()
+    elif order == "shuffled":
+        np.random.default_rng(39).shuffle(elements)
+    for a in elements:
         if not a:
             continue
         got = exact_zero_divisor_partner(A, a)

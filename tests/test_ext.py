@@ -3,7 +3,16 @@ import itertools
 import numpy as np
 import pytest
 
-from trmod.algebra import AlgebraSpec, RingElement, build_algebra, is_exact_zero_divisor
+from trmod import linalg
+from trmod.algebra import (
+    AlgebraSpec,
+    GradedLocalAlgebra,
+    RingElement,
+    build_algebra,
+    enumerate_ezd,
+    exact_zero_divisor_partner,
+    is_exact_zero_divisor,
+)
 from trmod.errors import ValidationError
 from trmod.ext import (
     ext1,
@@ -103,11 +112,16 @@ _T4 = ["x^2", "y^2", "z^2", "w^2", "y*z", "y*w", "z*w"]
     AlgebraSpec(3, ["x", "y", "z", "w"], _T4),
 ], ids=["S:2", "S:3", "S:5", "S:3 in x, a, b", "T_4 over F_2", "T_4 over F_3"])
 def test_gamma_matches_ext1_less_the_class_of_one(spec):
-    # gamma reads three ideal ranks; ext1 builds the Hom complex, and
-    # the class of 1 counts when it is a cocycle there, which both ways
+    # gamma compares linear parts; ext1 builds the Hom complex, and the
+    # class of 1 counts when it is a cocycle there, which both ways
     # occur.  Over F_2 the closed form is not checked, so this is
-    # gamma's only reference
+    # gamma's only reference.  rank Ext^1 = e + 2 - r(u) - r(u'), r(w)
+    # the rank of the linear parts of w and v
     A = build_algebra(spec)
+
+    def r(w, v):
+        return linalg.rank(np.stack([w.degree_one_part(), v.degree_one_part()]), A.p)
+
     rng = np.random.default_rng(40 + A.p * A.e)
     one = np.zeros(A.dim, dtype=np.int64)
     one[0] = 1
@@ -122,6 +136,8 @@ def test_gamma_matches_ext1_less_the_class_of_one(spec):
         ext = ext1(N, T1)
         cocycle = ext.is_cocycle(ext.cok.project(one))
         assert gamma(N, T1) == ext.rank - int(cocycle)
+        u, v = N.entry(0, 0), T1.entry(0, 0)
+        assert ext.rank == A.e + 2 - r(u, v) - r(exact_zero_divisor_partner(A, u), v)
         cocycles.add(cocycle)
     assert cocycles == {False, True}
 
@@ -140,6 +156,39 @@ def test_class_of_one_is_never_a_coboundary(p):
         assert not ext.is_coboundary(ext.cok.project(one)), (b, c, d, f)
         pairs += 1
     assert pairs == p ** 4  # 81 pairs over S:3, 625 over S:5
+
+
+def test_gamma_builds_no_operator(monkeypatch):
+    # with the partners cached, gamma compares linear parts: no
+    # multiplication operator and no rank
+    A = build_algebra(AlgebraSpec(3, ["x", "y", "z", "w"], _T4))
+    enumerate_ezd(A)
+
+    def spy(*args):
+        raise AssertionError("gamma built an operator or took a rank")
+
+    monkeypatch.setattr(linalg, "rank", spy)
+    monkeypatch.setattr(GradedLocalAlgebra, "mult_op", spy)
+    values = {gamma(M(A, [[u]]), M(A, [[v]]))
+              for u, v in itertools.product(["x", "x + y", "2*x + y + x*y", "x + 2*y"], repeat=2)}
+    assert values == {2, 3}
+
+
+def test_mixed_rings_are_refused(S3):
+    # same characteristic, different rings: refused before any arithmetic
+    T4 = build_algebra(AlgebraSpec(3, ["x", "y", "z", "w"], _T4))
+    x_s, x_t = S3.from_expr("x"), T4.from_expr("x")
+    with pytest.raises(ValidationError, match="mixed algebras"):
+        ext1(M(S3, [["x"]]), M(T4, [["x"]]))
+    with pytest.raises(ValidationError, match="mixed algebras"):
+        gamma(M(S3, [["x"]]), M(T4, [["x"]]))
+    with pytest.raises(ValidationError, match="mixed algebras"):
+        pushout_middle(x_s, x_t, S3.one())
+    with pytest.raises(ValidationError, match="mixed algebras"):
+        pushout_middle(x_s, x_s, T4.one())
+    # equal specs are one ring, whichever object built them
+    S3b = build_algebra(AlgebraSpec.canonical_s(3))
+    assert gamma(M(S3, [["x"]]), M(S3b, [["x"]])) == 2
 
 
 def test_gamma_rejects_bad_input(S3):

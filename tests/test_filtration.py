@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from trmod import filtration, linalg, modmat
-from trmod.algebra import AlgebraSpec, build_algebra
+from trmod.algebra import AlgebraSpec, build_algebra, enumerate_ezd, exact_zero_divisor_partner
 from trmod.errors import BudgetExceededError, ValidationError
 from trmod.filtration import (
     filtrate_ut,
@@ -103,6 +103,56 @@ def test_submodule_step_agrees_with_filtrate(S2):
         cur, t = submodule_step(cur)
         chain.append(t)
     assert [repr(t) for t in reversed(chain)] == [repr(q) for q in filt.quotients]
+
+
+_T4 = ["x^2", "y^2", "z^2", "w^2", "y*z", "y*w", "z*w"]
+
+
+@pytest.mark.parametrize("spec", [
+    AlgebraSpec.canonical_s(2),
+    AlgebraSpec.canonical_s(3),
+    AlgebraSpec.canonical_s(5),
+    AlgebraSpec(2, ["x", "y", "z", "w"], _T4),
+    AlgebraSpec(3, ["x", "y", "z", "w"], _T4),
+], ids=["S:2", "S:3", "S:5", "T_4 over F_2", "T_4 over F_3"])
+def test_submodule_step_is_certified_by_length_additivity(spec, monkeypatch):
+    # seeded 2x2 and 3x3 inputs with last row (0, .., 0, t), t an exact
+    # zero divisor: the layer is peeled off exactly when the lengths add,
+    # which is exactly when s*c lies in im U (c the column above t, s the
+    # partner of t), and no syzygy is taken to decide it
+    A = build_algebra(spec)
+    rng = np.random.default_rng(90 + A.p * A.e)
+    # the EZD points; enumerating them fills the partner cache, so the
+    # steps below need no annihilator
+    points = [pair.a.coeffs for pair in enumerate_ezd(A)]
+    cases = []
+    for k in range(60):
+        n = 2 + k % 2
+        ent = rng.integers(0, A.p, (n, n, A.dim))
+        ent[:, :, 0] = 0
+        ent[n - 1, :n - 1] = 0
+        # a unit times an EZD point, plus the random m^2 tail
+        point = points[rng.integers(len(points))]
+        ent[n - 1, n - 1, :1 + A.e] = point[:1 + A.e] * rng.integers(1, A.p)
+        T = PresentationMatrix(A, ent)
+        U = PresentationMatrix(A, np.ascontiguousarray(ent[:n - 1, :n - 1]))
+        s = exact_zero_divisor_partner(A, T.entry(n - 1, n - 1))
+        sc = np.concatenate([A.mult_vectors(s.coeffs, c) for c in ent[:n - 1, n - 1]])
+        adds = coker_length(U) == coker_length(T) - A.e
+        assert adds == (linalg.solve(modmat.linearize(U), sc, A.p) is not None)
+        cases.append((T, U, adds))
+    assert {adds for _, _, adds in cases} == {False, True}
+
+    def no_nullspace(*args):
+        raise AssertionError("submodule_step took a kernel")
+
+    monkeypatch.setattr(linalg, "nullspace", no_nullspace)
+    for T, U, adds in cases:
+        if adds:
+            assert submodule_step(T) == (U, T.entry(T.rows - 1, T.rows - 1))
+        else:
+            with pytest.raises(ValidationError):
+                submodule_step(T)
 
 
 def test_find_ut_form_already_ut(S2):
