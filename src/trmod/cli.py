@@ -127,13 +127,10 @@ def _cmd_tr(args, A):
     cert = check_totally_reflexive(M, depth=args.depth)
     payload = certificate_to_dict(cert)
     if cert.certified and cert.period:
-        try:
-            res = complete_resolution(M, window=args.window, certificate=cert)
-            payload["complete_resolution"] = {
-                str(pos): dump_matrix(res[pos]) for pos in sorted(res)
-            }
-        except ValidationError:
-            pass
+        res = complete_resolution(M, window=args.window, certificate=cert)
+        payload["complete_resolution"] = {
+            str(pos): dump_matrix(res[pos]) for pos in sorted(res)
+        }
     code = {"certified": EXIT_OK, "refuted": EXIT_REFUTED}.get(
         cert.verdict, EXIT_INCONCLUSIVE)
     return payload, code

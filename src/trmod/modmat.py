@@ -562,75 +562,6 @@ def syzygy(M: PresentationMatrix) -> PresentationMatrix:
     return out
 
 
-def divide(A: GradedLocalAlgebra, w, by):
-    """Some r with r * by = w, or None.  (Local ring: not unique.)"""
-    sol = linalg.solve(A.mult_op(by), np.asarray(w) % A.p, A.p)
-    return sol
-
-
-def column_reduce_to_ut(M: PresentationMatrix):
-    """Column-operate a square matrix into upper triangular form, or None.
-
-    Works bottom row up: in each row the surviving entries left of the
-    diagonal must be ring multiples of some entry, which is swapped into
-    the diagonal slot and used to clear the rest.  This is exactly the
-    reduction available for syzygies of upper triangular totally
-    reflexive matrices; on other inputs it may simply fail.
-    """
-    A = M.algebra
-    n = M.rows
-    if not M.is_square:
-        return None
-    ent = M.entries.copy()
-    for i in range(n - 1, -1, -1):
-        # find a pivot among columns 0..i dividing every other entry of row i
-        pivot = None
-        for j in range(i, -1, -1):
-            w = ent[i, j]
-            if not w.any():
-                continue
-            ok = True
-            for j2 in range(i + 1):
-                if j2 == j:
-                    continue
-                if ent[i, j2].any() and divide(A, ent[i, j2], w) is None:
-                    ok = False
-                    break
-            if ok:
-                pivot = j
-                break
-        if pivot is None:
-            if ent[i, :i].any():  # row not clearable
-                return None
-            continue
-        if pivot != i:
-            ent[:, [pivot, i]] = ent[:, [i, pivot]]
-        # column j2 < i minus the pivot column times r_j2, where
-        # r_j2 * ent[i, i] = ent[i, j2]
-        quot = np.zeros((1, i, A.dim), dtype=np.int64)
-        for j2 in range(i):
-            if ent[i, j2].any():
-                quot[0, j2] = divide(A, ent[i, j2], ent[i, i])
-        ent[:, :i] = (ent[:, :i] - ring_matmul(A, ent[:, [i]], quot)) % A.p
-    return PresentationMatrix(A, ent)
-
-
-def column_reduce_to_lt(M: PresentationMatrix):
-    """Column-operate a square matrix into lower triangular form, or None.
-
-    Conjugating by the index reversal turns the problem into the upper
-    triangular one; the net transformation is still column ops only.
-    """
-    A = M.algebra
-    if not M.is_square:
-        return None
-    rev = PresentationMatrix(A, np.ascontiguousarray(M.entries[::-1, ::-1]))
-    red = column_reduce_to_ut(rev)
-    if red is None:
-        return None
-    return PresentationMatrix(A, np.ascontiguousarray(red.entries[::-1, ::-1]))
-
-
 def has_m2_column(M: PresentationMatrix) -> bool:
     """True iff some column lies in m^2*R^r after column reduction.
 

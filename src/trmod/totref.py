@@ -30,8 +30,6 @@ from .errors import BudgetExceededError, ValidationError
 from .modmat import (
     PresentationMatrix,
     coker_length,
-    column_reduce_to_lt,
-    column_reduce_to_ut,
     graded_rank,
     has_m2_column,
     is_equivalent,
@@ -82,44 +80,35 @@ def _ranks(d: PresentationMatrix) -> tuple[int, int]:
     return graded_rank(d), _dual_rank(d)
 
 
-def _exact_at(d_prev, d_next, ranks_prev, ranks_next) -> bool:
-    """Forward and dual exactness between d_prev and d_next, from their
-    `_ranks`: im(lin d_next) = ker(lin d_prev) and
-    im(lin(d_prev^T)) = ker(lin(d_next^T)) (the products of the
-    transposes vanish since (d_prev d_next)^T = d_next^T d_prev^T)."""
-    dim = d_prev.algebra.dim
-    return (ranks_prev[0] + ranks_next[0] == d_prev.cols * dim
-            and ranks_prev[1] + ranks_next[1] == d_next.rows * dim)
+def _replays(chain: list[PresentationMatrix]) -> bool:
+    """Replay a chain d_1, ..., d_m of differentials (a dumb-verifier
+    check that reads only the matrices, whatever built them): at each
+    spot between d_t and d_{t+1} the shapes match, d_t d_{t+1} = 0, and
+    forward and dual exactness hold, im(lin d_{t+1}) = ker(lin d_t) and
+    im(lin(d_t^T)) = ker(lin(d_{t+1}^T)) (the products of the transposes
+    vanish since (d_t d_{t+1})^T = d_{t+1}^T d_t^T).
 
-
-def _products_vanish(d_prev: PresentationMatrix, d_next: PresentationMatrix) -> bool:
-    A = d_prev.algebra
-    prod = ring_matmul(A, d_prev.entries, d_next.entries)
-    return not prod.any()
+    Every product is checked before any rank is read, and the `_ranks`
+    of each distinct matrix are read once, a cyclic window's first
+    included.  The certifier's own differentials were ranked as the
+    resolution was built, so their replay eliminates nothing again; a
+    chain parsed fresh, as from a certificate file, is eliminated from
+    scratch, once per matrix and kind.
+    """
+    A = chain[0].algebra
+    pairs = list(zip(chain, chain[1:]))
+    if any(a.cols != b.rows or ring_matmul(A, a.entries, b.entries).any() for a, b in pairs):
+        return False
+    ranks = {d: _ranks(d) for d in dict.fromkeys(chain)}
+    return all(ranks[a][0] + ranks[b][0] == a.cols * A.dim
+               and ranks[a][1] + ranks[b][1] == b.rows * A.dim for a, b in pairs)
 
 
 def verify_periodic_window(window: list[PresentationMatrix]) -> bool:
     """Replay a periodic window: cyclic products vanish, forward and dual
-    exactness hold at every spot of one full period (a dumb-verifier
-    check that reads only the window's matrices, whatever built them).
-
-    Every spot is tested from the `_ranks` of its two matrices.  From
-    `_try_certify` these are the certifier's own differentials, whose
-    ranks were recorded as the resolution was built, so the replay
-    eliminates nothing again.  A window parsed fresh, as from a
-    certificate file, has empty records and is eliminated from scratch,
-    once per matrix and kind.
-    """
-    L = len(window)
-    if L == 0:
-        return False
-    for t in range(L):
-        a, b = window[t], window[(t + 1) % L]
-        if a.cols != b.rows or not _products_vanish(a, b):
-            return False
-    ranks = [_ranks(d) for d in window]
-    return all(_exact_at(window[t], window[(t + 1) % L], ranks[t], ranks[(t + 1) % L])
-               for t in range(L))
+    exactness hold at every spot of one full period (`_replays` on the
+    window closed by its first differential)."""
+    return bool(window) and _replays(window + window[:1])
 
 
 def check_totally_reflexive(
@@ -240,15 +229,9 @@ def _try_certify(ds, betti, log, i, P=None):
     window = ds[i:j]
     if P is not None:
         window[-1] = PresentationMatrix(A, ring_matmul(A, window[-1].entries, P))
-    if not verify_periodic_window(window):
+    # the window, then its junction with the preperiod
+    if not verify_periodic_window(window) or (i > 0 and not _replays([ds[i - 1], window[0]])):
         return None
-    # junction with the preperiod
-    if i > 0:
-        if not (
-            _products_vanish(ds[i - 1], window[0])
-            and _exact_at(ds[i - 1], window[0], _ranks(ds[i - 1]), _ranks(window[0]))
-        ):
-            return None
     n = ds[0].rows
     e = A.e
     length = coker_length(ds[0])
@@ -306,6 +289,12 @@ def check_ut_tr(M: PresentationMatrix):
     return verdict, evidence
 
 
+def _reversed_transpose(d: PresentationMatrix) -> PresentationMatrix:
+    """J d^T J, with J the index reversal: upper triangular when d is,
+    with d's diagonal reversed."""
+    return PresentationMatrix(d.algebra, d.entries.transpose(1, 0, 2)[::-1, ::-1])
+
+
 def complete_resolution(
     M: PresentationMatrix,
     window: int = 4,
@@ -313,53 +302,49 @@ def complete_resolution(
 ):
     """Doubly-infinite window of differentials around coker M.
 
-    Positions 1, 2, ... are the forward minimal resolution (prefix then
-    periodic window repeated); positions 0, -1, ... are obtained by
-    dualizing the minimal resolution of coker(M^T).  Returns a dict
-    {position: PresentationMatrix} covering [-window, window].
+    d_1 is M's pruned presentation, which the certificate starts from
+    (its first differential, unless a period-1 window at d_1 was closed
+    up to equivalence and carries the witness).  Positions 1, 2, ... are
+    its minimal resolution by `syzygy`.  Positions 0, -1, ... dualize the
+    minimal resolution of J d_1^T J, with J the index reversal: position
+    pos is J back_{1-pos}^T J, where back_0 = J d_1^T J and back_{k+1} =
+    syzygy(back_k).  Returns a dict {position: PresentationMatrix}
+    covering [-window, window], empty for a free module, after one
+    `_replays` of the whole chain.
+
+    Lemma: if d is n x n upper triangular (UT) and minimal with every
+    diagonal entry an exact zero divisor, so is syzygy(d).  Proof: the
+    diagonal's linear parts make rank L1 = n, so `syzygy` keeps exactly
+    the canonical kernel K of Lam, whose columns are ordered by their
+    last nonzero coordinate.  A degree-1 syzygy supported on the first
+    i coordinates is a syzygy of the leading i x i block T_i, which is
+    UT with exact-zero-divisor diagonal, so totally reflexive with a
+    linear syzygy on i generators.  So exactly one column of K ends in
+    each row: syzygy(d) is UT, and its diagonal entry i kills d's, so it
+    is a nonzero multiple of that entry's partner.  J d^T J is UT with
+    d's diagonal reversed, so both resolutions stay UT.  A certified UT
+    d_1 has such a diagonal (`check_ut_tr`), so it gives a UT window,
+    and an AssertionError guards this.
     """
+    if window < 1:
+        raise ValidationError("window must be >= 1")
     cert = certificate or check_totally_reflexive(M)
     if not cert.certified:
         raise ValidationError("complete resolution requires a certified module")
-    out: dict[int, PresentationMatrix] = {}
-    if M.cols == 0 or M.rows == 0:  # free module
-        return out
-    # keep triangular shape through the whole window when the input has it
-    ut = M.is_upper_triangular
-
-    def _fwd_step(d):
-        s = syzygy(d)
-        if ut:
-            red = column_reduce_to_ut(s)
-            if red is not None:
-                s = red
-        return s
-
-    cur = M
-    out[1] = cur
+    if not cert.window:  # free module
+        return {}
+    d1 = prune_presentation(M)[0]
+    out = {1: d1}
     for pos in range(2, window + 1):
-        cur = _fwd_step(cur)
-        out[pos] = cur
-    # backward: resolve the transpose cokernel and dualize; the transpose
-    # of an upper triangular matrix is lower triangular, so keeping the
-    # backward chain lower triangular makes the dualized window upper
-    back = [M.transpose()]
+        out[pos] = syzygy(out[pos - 1])
+    back = [_reversed_transpose(d1)]
     for _ in range(window + 1):
-        s = syzygy(back[-1])
-        if ut:
-            red = column_reduce_to_lt(s)
-            if red is not None:
-                s = red
-        back.append(s)
+        back.append(syzygy(back[-1]))
     for pos in range(0, -window - 1, -1):
-        out[pos] = back[1 - pos].transpose()
-    # sanity: consecutive products vanish and junctions are exact
-    positions = sorted(out)
-    ranks = {pos: _ranks(out[pos]) for pos in positions}
-    for a, b in zip(positions[:-1], positions[1:]):
-        # d_a . d_{a+1} = 0 and exactness at the spot between them
-        if not _products_vanish(out[a], out[b]):
-            raise AssertionError("complete resolution junction product nonzero")
-        if not _exact_at(out[a], out[b], ranks[a], ranks[b]):
-            raise AssertionError("complete resolution junction not exact")
+        out[pos] = _reversed_transpose(back[1 - pos])
+    chain = [out[pos] for pos in sorted(out)]
+    if not _replays(chain):
+        raise AssertionError("complete resolution does not replay")
+    if d1.is_upper_triangular and not all(d.is_upper_triangular for d in chain):
+        raise AssertionError("syzygy of an upper triangular differential is not upper triangular")
     return out

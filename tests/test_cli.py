@@ -126,6 +126,26 @@ def test_tr_certified(capsys, matrix_file):
     assert positions == list(range(-3, 4))
 
 
+@pytest.mark.parametrize("rows, pruned", [
+    ([["x", "0"], ["0", "0"]], [["x"]]),
+    ([["x", "z", "0"], ["0", "x", "0"], ["0", "0", "0"]], [["x", "z"], ["0", "x"]]),
+])
+def test_tr_pruned_input_prints_resolution(capsys, matrix_file, rows, pruned):
+    # the resolution starts at the pruned presentation, not at the input
+    code, rep = run(capsys, "tr", "S:2", matrix_file(rows))
+    assert code == 0
+    res = rep["result"]["complete_resolution"]
+    assert sorted(int(k) for k in res) == list(range(-3, 4))
+    assert res["1"]["entries"] == pruned
+
+
+@pytest.mark.parametrize("window", ["0", "-2"])
+def test_tr_window_below_one_is_invalid(capsys, matrix_file, window):
+    code, rep = run(capsys, "tr", "S:2", matrix_file([["x"]]), "--window", window)
+    assert code == 3
+    assert "window" in rep["result"]["error"]
+
+
 def test_tr_returns_library_certificate(capsys, matrix_file):
     rows = [["x", "z"], ["y", "x"]]
     code, rep = run(capsys, "tr", "S:2", matrix_file(rows))

@@ -22,10 +22,7 @@ from trmod.modmat import (
     PresentationMatrix,
     _build_correction_matrices,
     coker_length,
-    column_reduce_to_lt,
-    column_reduce_to_ut,
     correction_space,
-    divide,
     endomorphism_space,
     graded_nullspace,
     graded_rank,
@@ -249,7 +246,7 @@ def test_prune_skips_the_kernel_at_full_linear_rank(S2, monkeypatch):
     assert calls == [redundant]
 
 
-def test_column_reduce_to_ut(S2):
+def test_is_upper_triangular(S2):
     assert M(S2, [["x", "z"], ["0", "x + y"]]).is_upper_triangular
     assert M(S2, [["x"]]).is_upper_triangular
     assert PresentationMatrix.zeros(S2, 0, 0).is_upper_triangular
@@ -257,17 +254,6 @@ def test_column_reduce_to_ut(S2):
     assert not M(S2, [["x", "0", "y"], ["0", "x", "0"], ["z", "0", "x"]]).is_upper_triangular
     assert M(S2, [["x", "y", "z"], ["0", "x", "y"], ["0", "0", "0"]]).is_upper_triangular
     assert not M(S2, [["x", "y"]]).is_upper_triangular  # not square
-    ut = M(S2, [["x", "z"], ["0", "x + y"]])
-    w = syzygy(ut)
-    red = column_reduce_to_ut(w)
-    assert red is not None
-    assert red.is_upper_triangular
-    # column operations preserve the cokernel
-    assert is_equivalent(w, red) is not None
-    # syzygies of lower triangular inputs reduce to lower triangular
-    lt = column_reduce_to_lt(syzygy(ut.transpose()))
-    assert lt is not None
-    assert lt.transpose().is_upper_triangular
 
 
 # -- references: the loops that one RREF, one einsum and whole-matrix
@@ -531,42 +517,6 @@ def _loop_prune_presentation(M):
     return PresentationMatrix(A, np.ascontiguousarray(ent)), free_rank
 
 
-def _col_sub(A, col, pivot_col, r):
-    out = col.copy()
-    for k in range(col.shape[0]):
-        out[k] = (col[k] - A.mult_vectors(r, pivot_col[k])) % A.p
-    return out
-
-
-def _loop_column_reduce_to_ut(M):
-    A = M.algebra
-    n = M.rows
-    if not M.is_square:
-        return None
-    ent = M.entries.copy()
-    for i in range(n - 1, -1, -1):
-        pivot = None
-        for j in range(i, -1, -1):
-            w = ent[i, j]
-            if not w.any():
-                continue
-            if all(j2 == j or not ent[i, j2].any() or divide(A, ent[i, j2], w) is not None
-                   for j2 in range(i + 1)):
-                pivot = j
-                break
-        if pivot is None:
-            if ent[i, :i].any():
-                return None
-            continue
-        if pivot != i:
-            ent[:, [pivot, i]] = ent[:, [i, pivot]]
-        for j2 in range(i):
-            if ent[i, j2].any():
-                r = divide(A, ent[i, j2], ent[i, i])
-                ent[:, j2] = _col_sub(A, ent[:, j2], ent[:, i], r)
-    return PresentationMatrix(A, ent)
-
-
 def _loop_correction_space(M):
     A = M.algebra
     r, c = M.rows, M.cols
@@ -750,18 +700,6 @@ def test_one_rref_span_building_matches_greedy_add(p, seed):
     assert _equivalent_digest(p, seed) == _PINNED_EQUIVALENT[p]
 
 
-def _square_reducible(mat, rng):
-    """U * (I + L) for U the upper triangular part of a square mat and L
-    strictly lower triangular with random entries: column operations
-    bring it back to upper triangular form."""
-    A, n = mat.algebra, mat.rows
-    U = mat.entries.copy()
-    U[np.tril_indices(n, -1)] = 0
-    L = rng.integers(0, A.p, size=(n, n, A.dim))
-    L[np.triu_indices(n)] = 0
-    return PresentationMatrix(A, ring_matmul(A, U, (modmat.ring_identity(A, n) + L) % A.p))
-
-
 @pytest.mark.parametrize("p, seed", [(2, 11), (3, 12), (5, 13)])
 def test_ring_matmul_pivot_steps_match_entry_loops(p, seed):
     rng = np.random.default_rng(seed + 3000)
@@ -784,11 +722,6 @@ def test_ring_matmul_pivot_steps_match_entry_loops(p, seed):
             for X in (mat, PresentationMatrix(A, padded)):
                 got, ref = prune_presentation(X), _loop_prune_presentation(X)
                 assert _same(got[0].entries, ref[0].entries) and got[1] == ref[1]
-        if mat.is_square and mat.is_minimal:
-            for X in (mat, mat.transpose(), _square_reducible(mat, rng)):
-                got, ref = column_reduce_to_ut(X), _loop_column_reduce_to_ut(X)
-                assert (got is None) == (ref is None)
-                assert got is None or _same(got.entries, ref.entries)
         corr, (ref, gens) = correction_space(mat, mat), _loop_correction_space(mat)
         assert _same(corr, ref)
         coeffs = rng.integers(0, p, size=corr.shape[1])
